@@ -20,6 +20,10 @@
 //   ./bench_pdes [label] [output.json] [--reps=N]
 //                [--compare=BASELINE.json] [--min-ratio=R]
 //                [--min-scaling=S]
+//
+// Exit codes: 0 pass, 1 a gate failed, 2 bad arguments, 3 the --compare
+// baseline is missing or holds no run line (a configuration error, found
+// before anything runs, so it is never mistaken for a regression).
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -166,6 +170,18 @@ int main(int argc, char** argv) {
     ++positional;
   }
   if (reps == 0) reps = 1;
+  std::string base_line;
+  if (!compare_path.empty()) {
+    base_line = bench::last_bench_run_line(compare_path);
+    if (base_line.empty()) {
+      std::fprintf(stderr,
+                   "configuration error: baseline %s is missing or has no "
+                   "run line; record one with: bench_pdes baseline %s "
+                   "--reps=3 (Release build)\n",
+                   compare_path.c_str(), compare_path.c_str());
+      return 3;
+    }
+  }
 
   bench::print_header(
       "PERF: parallel-in-one-world simulation (spatial-island PDES)",
@@ -283,16 +299,9 @@ int main(int argc, char** argv) {
               label.c_str());
 
   bool gate_ok = true;
-  if (!compare_path.empty()) {
-    const std::string base_line = bench::last_bench_run_line(compare_path);
-    if (base_line.empty()) {
-      std::printf("FAIL: no baseline run line in %s\n",
-                  compare_path.c_str());
-      gate_ok = false;
-    } else {
-      gate_ok = compare_against_baseline(base_line, run.str(), min_ratio);
-      std::printf("perf gate: %s\n", gate_ok ? "OK" : "FAILED");
-    }
+  if (!base_line.empty()) {
+    gate_ok = compare_against_baseline(base_line, run.str(), min_ratio);
+    std::printf("perf gate: %s\n", gate_ok ? "OK" : "FAILED");
   }
   return identical && scaling_ok && gate_ok ? 0 : 1;
 }

@@ -204,7 +204,7 @@ class MacBase : public Mac {
     }
     const std::uint64_t key =
         (static_cast<std::uint64_t>(f.src) << 16) | f.seq;
-    auto [it, fresh] = seen_.emplace(f.src, key);
+    auto [it, fresh] = seen_.try_emplace(f.src, key);
     if (!fresh) {
       if (it->second == key) {
         ++stats_.rx_duplicates;

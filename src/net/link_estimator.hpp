@@ -33,9 +33,6 @@ class LinkEstimator {
     }
   }
 
-  /// Records an overheard frame from `neighbor` (keeps entry warm).
-  void record_rx(NodeId neighbor) { ++links_[neighbor].rx; }
-
   [[nodiscard]] double etx(NodeId neighbor) const {
     auto it = links_.find(neighbor);
     return it == links_.end() || it->second.samples == 0
@@ -57,7 +54,6 @@ class LinkEstimator {
   struct Entry {
     double etx = 0.0;
     std::uint32_t samples = 0;
-    std::uint32_t rx = 0;
     int consecutive_failures = 0;
   };
   double alpha_;

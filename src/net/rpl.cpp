@@ -151,7 +151,6 @@ void RplRouting::send_dao() {
 void RplRouting::on_mac_receive(NodeId src, BytesView payload, double rssi) {
   (void)rssi;
   if (!running_) return;
-  links_.record_rx(src);
   auto type = peek_type(payload);
   if (!type) return;
   BufReader r(payload.subspan(1));
@@ -243,6 +242,7 @@ void RplRouting::handle_dio(NodeId src, const DioMsg& dio) {
   nb.version = dio.version;
   nb.depth = dio.depth;
   nb.last_heard = sched_.now();
+  nb.link_cost = link_cost(src);
 
   // Trickle resets happen inside select_parent on real topology events
   // (join, parent switch, orphaned) — RFC 6550 semantics. Mere rank
@@ -424,13 +424,11 @@ void RplRouting::forward_up(DataMsg msg, bool allow_reroute) {
               if (obs::Tracer* tc = obs::tracer(sched_)) {
                 tc->end(hop, "delivered", st.delivered ? 1 : 0);
               }
-              links_.record_tx(via, st.attempts, st.delivered);
+              Neighbor* nb = record_unicast(via, st);
               if (st.delivered) {
                 // A MAC ack is direct proof the neighbor is alive;
                 // liveness consumers (RNFD) read neighbor_last_heard.
-                if (auto it = neighbors_.find(via); it != neighbors_.end()) {
-                  it->second.last_heard = sched_.now();
-                }
+                if (nb != nullptr) nb->last_heard = sched_.now();
                 return;
               }
               if (links_.consecutive_failures(via) >=
@@ -483,7 +481,7 @@ void RplRouting::forward_down(DataMsg msg) {
     if (obs::Tracer* tc = obs::tracer(sched_)) {
       tc->end(hop, "delivered", st.delivered ? 1 : 0);
     }
-    links_.record_tx(via, st.attempts, st.delivered);
+    record_unicast(via, st);
     if (!st.delivered) {
       ++stats_.drops_link;
       // Stale downward route: remove entries through this child.
@@ -504,26 +502,37 @@ Rank RplRouting::link_cost(NodeId neighbor) const {
       static_cast<double>(4 * kMinHopRankIncrease)));
 }
 
-Rank RplRouting::path_cost_via(NodeId neighbor) const {
-  auto it = neighbors_.find(neighbor);
-  if (it == neighbors_.end() || it->second.rank >= kInfiniteRank) {
-    return kInfiniteRank;
-  }
-  const std::uint32_t total = it->second.rank + link_cost(neighbor);
+RplRouting::Neighbor* RplRouting::record_unicast(NodeId via,
+                                                 const mac::SendStatus& st) {
+  links_.record_tx(via, st.attempts, st.delivered);
+  const auto it = neighbors_.find(via);
+  if (it == neighbors_.end()) return nullptr;
+  it->second.link_cost = link_cost(via);
+  return &it->second;
+}
+
+Rank RplRouting::path_cost_via(const Neighbor& nb) {
+  if (nb.rank >= kInfiniteRank) return kInfiniteRank;
+  const std::uint32_t total = nb.rank + nb.link_cost;
   return total >= kInfiniteRank ? kInfiniteRank
                                 : static_cast<Rank>(total);
 }
 
 void RplRouting::select_parent() {
   if (is_root_) return;
+  // One pass over the neighbor table; its iteration order decides ties.
   NodeId best = kInvalidNode;
   Rank best_cost = kInfiniteRank;
+  const Neighbor* best_nb = nullptr;
+  const Neighbor* current = nullptr;  // parent_'s entry, if still known
   for (const auto& [n, nb] : neighbors_) {
+    if (n == parent_) current = &nb;
     if (nb.version != version_) continue;
-    const Rank c = path_cost_via(n);
+    const Rank c = path_cost_via(nb);
     if (c < best_cost) {
       best_cost = c;
       best = n;
+      best_nb = &nb;
     }
   }
   if (best == kInvalidNode) {
@@ -531,9 +540,10 @@ void RplRouting::select_parent() {
     return;
   }
   const bool had_parent = parent_ != kInvalidNode;
-  const Rank current_cost = had_parent ? path_cost_via(parent_) : kInfiniteRank;
+  const Rank current_cost =
+      current != nullptr ? path_cost_via(*current) : kInfiniteRank;
   if (!had_parent || best_cost + cfg_.parent_switch_threshold < current_cost ||
-      neighbors_.find(parent_) == neighbors_.end()) {
+      current == nullptr) {
     if (parent_ != best) {
       ++stats_.parent_changes;
       const NodeId old = parent_;
@@ -560,11 +570,11 @@ void RplRouting::select_parent() {
       }
     }
   }
-  rank_ = path_cost_via(parent_);
-  if (auto it = neighbors_.find(parent_); it != neighbors_.end()) {
-    depth_ = it->second.depth < 0xFF
-                 ? static_cast<std::uint8_t>(it->second.depth + 1)
-                 : 0xFF;
+  const Neighbor* chosen = parent_ == best ? best_nb : current;
+  rank_ = chosen != nullptr ? path_cost_via(*chosen) : kInfiniteRank;
+  if (chosen != nullptr) {
+    depth_ = chosen->depth < 0xFF ? static_cast<std::uint8_t>(chosen->depth + 1)
+                                  : 0xFF;
   }
   if (rank_ < kInfiniteRank) {
     if (rank_ < lowest_rank_) {

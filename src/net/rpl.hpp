@@ -141,7 +141,6 @@ class RplRouting {
     const auto it = neighbors_.find(n);
     return it == neighbors_.end() ? 0 : it->second.last_heard;
   }
-  [[nodiscard]] LinkEstimator& link_estimator() { return links_; }
   [[nodiscard]] mac::Mac& mac() { return mac_; }
   [[nodiscard]] sim::Scheduler& scheduler() { return sched_; }
 
@@ -155,6 +154,10 @@ class RplRouting {
     Rank rank = kInfiniteRank;
     std::uint8_t version = 0;
     std::uint8_t depth = 0xFF;
+    /// link_cost(n) as of the last estimator update for this neighbor;
+    /// refreshed on every DIO from it and after every unicast outcome,
+    /// so parent selection never re-queries the estimator.
+    Rank link_cost = kInfiniteRank;
     sim::Time last_heard = 0;
   };
 
@@ -170,7 +173,10 @@ class RplRouting {
   void forward_down(DataMsg msg);
   void select_parent();
   [[nodiscard]] Rank link_cost(NodeId neighbor) const;
-  [[nodiscard]] Rank path_cost_via(NodeId neighbor) const;
+  /// Records a unicast outcome to `via` in the estimator and refreshes
+  /// its cached link cost. Returns via's neighbor entry, if it has one.
+  Neighbor* record_unicast(NodeId via, const mac::SendStatus& st);
+  [[nodiscard]] static Rank path_cost_via(const Neighbor& nb);
   void become_orphan();
   /// Forwards a distress report one hop toward the root (or, at the root,
   /// considers a rate-limited global repair).

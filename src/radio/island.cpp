@@ -107,6 +107,9 @@ Interchange::Interchange(std::size_t islands) {
 void Interchange::post(std::size_t dst_island, CellTx tx) {
   Mailbox& box = *boxes_.at(dst_island);
   std::lock_guard<std::mutex> lk(box.mu);
+  if (tx.b1 < box.earliest.load(std::memory_order_relaxed)) {
+    box.earliest.store(tx.b1, std::memory_order_release);
+  }
   box.msgs.push_back(std::move(tx));
   posted_.fetch_add(1, std::memory_order_relaxed);
 }
@@ -118,15 +121,18 @@ std::vector<CellTx> Interchange::take_until(std::size_t island,
   {
     std::lock_guard<std::mutex> lk(box.mu);
     auto keep = box.msgs.begin();
+    sim::Time earliest = sim::kTimeNever;
     for (auto it = box.msgs.begin(); it != box.msgs.end(); ++it) {
       if (it->b1 <= boundary) {
         out.push_back(std::move(*it));
       } else {
+        earliest = std::min(earliest, it->b1);
         if (keep != it) *keep = std::move(*it);
         ++keep;
       }
     }
     box.msgs.erase(keep, box.msgs.end());
+    box.earliest.store(earliest, std::memory_order_release);
   }
   // (b1, src_island, seq) is a total order over all posted messages, so
   // the application order is interleaving-independent.
@@ -136,14 +142,6 @@ std::vector<CellTx> Interchange::take_until(std::size_t island,
     return a.seq < b.seq;
   });
   return out;
-}
-
-sim::Time Interchange::next_time(std::size_t island) {
-  Mailbox& box = *boxes_.at(island);
-  std::lock_guard<std::mutex> lk(box.mu);
-  sim::Time t = sim::kTimeNever;
-  for (const CellTx& m : box.msgs) t = std::min(t, m.b1);
-  return t;
 }
 
 }  // namespace iiot::radio

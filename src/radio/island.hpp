@@ -120,7 +120,10 @@ class Interchange {
                                                sim::Time boundary);
 
   /// Earliest pending b1 for `island`, kTimeNever if the box is empty.
-  [[nodiscard]] sim::Time next_time(std::size_t island);
+  /// Lock-free: one acquire load of a value kept under the box's mutex.
+  [[nodiscard]] sim::Time next_time(std::size_t island) const {
+    return boxes_[island]->earliest.load(std::memory_order_acquire);
+  }
 
   /// Total messages ever posted (diagnostics; read when quiescent).
   [[nodiscard]] std::uint64_t posted() const {
@@ -131,6 +134,8 @@ class Interchange {
   struct Mailbox {
     std::mutex mu;
     std::vector<CellTx> msgs;
+    /// min b1 over msgs (kTimeNever when empty); written only under mu.
+    std::atomic<sim::Time> earliest{sim::kTimeNever};
   };
 
   std::vector<std::unique_ptr<Mailbox>> boxes_;

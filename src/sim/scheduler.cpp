@@ -89,7 +89,7 @@ void Scheduler::run_until(Time deadline) {
   if (now_ < deadline) now_ = deadline;
 }
 
-Time Scheduler::next_event_time() {
+Time Scheduler::next_event_time_skim() {
   while (!heap_.empty()) {
     if (!stale(heap_.front())) return heap_.front().at;
     --stale_entries_;

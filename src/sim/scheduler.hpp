@@ -91,8 +91,14 @@ class Scheduler {
 
   /// Firing time of the earliest live event, or kTimeNever when the queue
   /// is empty. Skims cancelled entries off the heap front as a side
-  /// effect (const-correct lazily: mutates only bookkeeping).
-  [[nodiscard]] Time next_event_time();
+  /// effect (const-correct lazily: mutates only bookkeeping). Inline for
+  /// the common case the PDES idle skip polls: an empty heap or a live
+  /// front entry.
+  [[nodiscard]] Time next_event_time() {
+    if (heap_.empty()) return kTimeNever;
+    if (!stale(heap_.front())) return heap_.front().at;
+    return next_event_time_skim();
+  }
 
   /// Total events executed since construction (for perf accounting).
   [[nodiscard]] std::uint64_t executed_events() const { return executed_; }
@@ -153,6 +159,8 @@ class Scheduler {
   void heap_pop();
   void sift_down(std::size_t i);
   void compact();
+  /// next_event_time() past a stale front entry: pops cancelled entries.
+  Time next_event_time_skim();
 
   Time now_ = 0;
   obs::Context* obs_ = nullptr;

@@ -258,6 +258,77 @@ TEST(Rpl, ReroutesAroundFailedParent) {
   EXPECT_GE(delivered, 10);
 }
 
+TEST(Rpl, FailedUnicastsRaiseParentCostBeforeEviction) {
+  // Diamond again. Two failed unicasts stay below max_parent_failures, so
+  // the dead relay is not evicted; its raised ETX alone must make the next
+  // DIO from the equal-rank alternative win the parent selection.
+  World w(45);
+  w.add_node(0, {0, 0});
+  w.add_node(1, {25, 12});
+  w.add_node(2, {25, -12});
+  w.add_node(3, {50, 0});
+  RplNet net(w);
+  net.start();
+  w.sched().run_until(20_s);
+  ASSERT_TRUE(net.all_joined());
+  const NodeId first_parent = net.routers[3]->preferred_parent();
+  ASSERT_TRUE(first_parent == 1 || first_parent == 2);
+  const NodeId alternative = first_parent == 1 ? 2 : 1;
+  ASSERT_EQ(net.routers[first_parent]->rank(),
+            net.routers[alternative]->rank());
+  w.sched().schedule_at(20_s, [&] {
+    w.node(first_parent).mac->stop();
+    net.routers[first_parent]->stop();
+  });
+  ASSERT_GT(RplNet::fast_config().max_parent_failures, 2);
+  for (int i = 0; i < 2; ++i) {
+    w.sched().schedule_at(21_s + static_cast<Time>(i) * 1'000'000,
+                          [&] { net.routers[3]->send_up(to_buffer("d")); });
+  }
+  w.sched().run_until(23_s);
+  EXPECT_EQ(net.routers[3]->stats().drops_link, 2u);
+  // The alternative's trickle interval is at most Imax (64 s) by now.
+  w.sched().run_until(23_s + 2 * 64_s);
+  EXPECT_EQ(net.routers[3]->preferred_parent(), alternative);
+  EXPECT_NE(net.routers[3]->neighbor_last_heard(first_parent), 0u)
+      << "the relay was evicted, so the ETX path was never exercised";
+}
+
+TEST(Rpl, EvictedNeighborHeardAgainUsesEstimatorCost) {
+  // Line 0-1-2; the leaf can only reach the root through node 1. Kill the
+  // relay, let max_parent_failures unicasts evict it (which also forgets
+  // its estimator entry), then restart it: the leaf must cost the link at
+  // the estimator's unknown-link prior, not at the failed link's cost.
+  World w(49);
+  w.make_line(3, 25.0);
+  RplNet net(w);
+  net.start();
+  w.sched().run_until(20_s);
+  ASSERT_TRUE(net.all_joined());
+  ASSERT_EQ(net.routers[2]->preferred_parent(), 1u);
+  const RplConfig cfg = RplNet::fast_config();
+  w.sched().schedule_at(20_s, [&] {
+    w.node(1).mac->stop();
+    net.routers[1]->stop();
+  });
+  for (int i = 0; i < cfg.max_parent_failures; ++i) {
+    w.sched().schedule_at(21_s + static_cast<Time>(i) * 1'000'000,
+                          [&] { net.routers[2]->send_up(to_buffer("d")); });
+  }
+  w.sched().run_until(30_s);
+  ASSERT_FALSE(net.routers[2]->joined());
+  EXPECT_EQ(net.routers[2]->neighbor_last_heard(1), 0u);
+  w.sched().schedule_at(30_s, [&] {
+    w.node(1).mac->start();
+    net.routers[1]->start();
+  });
+  w.sched().run_until(60_s);
+  ASSERT_TRUE(net.all_joined());
+  const auto unknown_cost = static_cast<Rank>(LinkEstimator::kUnknownEtx *
+                                              kMinHopRankIncrease);
+  EXPECT_EQ(net.routers[2]->rank(), net.routers[1]->rank() + unknown_cost);
+}
+
 TEST(Rpl, GlobalRepairPropagatesNewVersion) {
   World w(46);
   w.make_line(4, 25.0);

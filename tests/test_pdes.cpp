@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <thread>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -108,6 +109,62 @@ TEST(Interchange, TakeUntilSortsCanonicallyAndLeavesTheFuture) {
   EXPECT_EQ(got[2].seq, 7u);
   EXPECT_EQ(ix.next_time(1), 3000u);
   EXPECT_EQ(ix.posted(), 4u);
+}
+
+radio::CellTx cell_at(Time b1) {
+  radio::CellTx m;
+  m.b1 = b1;
+  m.b2 = b1 + 1000;
+  return m;
+}
+
+TEST(Interchange, NextTimeReportsEarlierPostAfterPartialTake) {
+  radio::Interchange ix(1);
+  ix.post(0, cell_at(1000));
+  ix.post(0, cell_at(3000));
+  ix.post(0, cell_at(4000));
+  ASSERT_EQ(ix.take_until(0, 2000).size(), 1u);
+  EXPECT_EQ(ix.next_time(0), 3000u);
+  ix.post(0, cell_at(2500));  // earlier than everything left in the box
+  EXPECT_EQ(ix.next_time(0), 2500u);
+  ix.post(0, cell_at(3500));  // later posts do not raise it
+  EXPECT_EQ(ix.next_time(0), 2500u);
+}
+
+TEST(Interchange, NextTimeIsNeverOnceTakeUntilEmptiesTheBox) {
+  radio::Interchange ix(1);
+  ix.post(0, cell_at(1000));
+  ix.post(0, cell_at(2000));
+  ASSERT_EQ(ix.take_until(0, 2000).size(), 2u);
+  EXPECT_EQ(ix.next_time(0), kTimeNever);
+  ix.post(0, cell_at(5000));
+  EXPECT_EQ(ix.next_time(0), 5000u);
+}
+
+TEST(Interchange, LockFreeNextTimeAgreesWithConcurrentPosts) {
+  // One sender lane posts while the owning lane polls next_time and drains
+  // exactly what it reports, as ParallelScheduler does. Only the owner
+  // removes, so a reported time always has a message behind it.
+  constexpr int kPosts = 20000;
+  radio::Interchange ix(1);
+  std::thread sender([&] {
+    for (int i = 0; i < kPosts; ++i) {
+      ix.post(0, cell_at(1000 + static_cast<Time>(i) * 7919 % 100'000));
+    }
+  });
+  std::size_t taken = 0;
+  bool consistent = true;
+  while (taken < static_cast<std::size_t>(kPosts)) {
+    const Time t = ix.next_time(0);
+    if (t == kTimeNever) continue;
+    const std::vector<radio::CellTx> got = ix.take_until(0, t);
+    consistent = consistent && !got.empty() && got.front().b1 <= t;
+    taken += got.size();
+  }
+  sender.join();
+  EXPECT_TRUE(consistent);
+  EXPECT_EQ(taken, static_cast<std::size_t>(kPosts));
+  EXPECT_EQ(ix.next_time(0), kTimeNever);
 }
 
 // ------------------------------------------------- scheduler peek API
