@@ -8,12 +8,11 @@
 
 namespace iiot::obs {
 
-SpanRecord* Tracer::push(TraceId trace, NodeId node, Layer layer,
-                         const char* name, SpanRef parent, bool is_instant) {
-  if (!enabled_) return nullptr;
+SpanRef Tracer::push(TraceId trace, NodeId node, Layer layer,
+                     const char* name, SpanRef parent, bool is_instant) {
   if (records_.size() >= max_records_) {
     ++dropped_;
-    return nullptr;
+    return 0;
   }
   SpanRecord r;
   r.trace = trace;
@@ -26,12 +25,12 @@ SpanRecord* Tracer::push(TraceId trace, NodeId node, Layer layer,
   r.open = !is_instant;
   r.instant = is_instant;
   records_.push_back(r);
-  return &records_.back();
+  return static_cast<SpanRef>(records_.size());
 }
 
-TraceId Tracer::start_trace(NodeId node, Layer layer) {
-  if (!enabled_ || records_.size() >= max_records_) {
-    if (enabled_) ++dropped_;
+TraceId Tracer::open_trace(NodeId node, Layer layer) {
+  if (records_.size() >= max_records_) {
+    ++dropped_;
     return 0;
   }
   const TraceId t = next_trace_++;
@@ -40,43 +39,12 @@ TraceId Tracer::start_trace(NodeId node, Layer layer) {
   return t;
 }
 
-SpanRef Tracer::begin(TraceId trace, NodeId node, Layer layer,
-                      const char* name, SpanRef parent) {
-  if (push(trace, node, layer, name, parent, /*is_instant=*/false) ==
-      nullptr) {
-    return 0;
-  }
-  return static_cast<SpanRef>(records_.size());
-}
-
-void Tracer::end(SpanRef ref) {
-  if (ref == 0 || ref > records_.size()) return;
+void Tracer::close(SpanRef ref) {
+  if (ref > records_.size()) return;
   SpanRecord& r = records_[ref - 1];
   if (!r.open) return;
   r.open = false;
   r.end = sched_.now();
-}
-
-void Tracer::end(SpanRef ref, const char* arg_key, std::uint64_t arg_val) {
-  annotate(ref, arg_key, arg_val);
-  end(ref);
-}
-
-SpanRef Tracer::instant(TraceId trace, NodeId node, Layer layer,
-                        const char* name, SpanRef parent) {
-  if (push(trace, node, layer, name, parent, /*is_instant=*/true) ==
-      nullptr) {
-    return 0;
-  }
-  return static_cast<SpanRef>(records_.size());
-}
-
-void Tracer::annotate(SpanRef ref, const char* arg_key,
-                      std::uint64_t arg_val) {
-  if (ref == 0 || ref > records_.size()) return;
-  SpanRecord& r = records_[ref - 1];
-  r.arg_key = arg_key;
-  r.arg_val = arg_val;
 }
 
 // ---------------------------------------------------------------- export

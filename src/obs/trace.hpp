@@ -85,21 +85,42 @@ class Tracer {
   void set_enabled(bool on) { enabled_ = on; }
   [[nodiscard]] bool enabled() const { return enabled_; }
 
+  // The recording calls below are inline for the disabled case (an
+  // installed Context with tracing off, the metrics-only mode): it costs
+  // one flag or ref test and no call.
+
   /// Allocates a fresh trace id and records its root instant ("origin")
   /// at `node`. Returns 0 when disabled or at capacity.
-  TraceId start_trace(NodeId node, Layer layer);
+  TraceId start_trace(NodeId node, Layer layer) {
+    return enabled_ ? open_trace(node, layer) : 0;
+  }
 
   /// Opens a span; returns 0 when disabled/at capacity (end(0) is a
   /// no-op, so call sites need no guards).
   SpanRef begin(TraceId trace, NodeId node, Layer layer, const char* name,
-                SpanRef parent = 0);
-  void end(SpanRef ref);
-  void end(SpanRef ref, const char* arg_key, std::uint64_t arg_val);
+                SpanRef parent = 0) {
+    return enabled_ ? push(trace, node, layer, name, parent, false) : 0;
+  }
+  void end(SpanRef ref) {
+    if (ref != 0) close(ref);
+  }
+  void end(SpanRef ref, const char* arg_key, std::uint64_t arg_val) {
+    if (ref == 0) return;
+    annotate(ref, arg_key, arg_val);
+    close(ref);
+  }
 
   /// Point event.
   SpanRef instant(TraceId trace, NodeId node, Layer layer, const char* name,
-                  SpanRef parent = 0);
-  void annotate(SpanRef ref, const char* arg_key, std::uint64_t arg_val);
+                  SpanRef parent = 0) {
+    return enabled_ ? push(trace, node, layer, name, parent, true) : 0;
+  }
+  void annotate(SpanRef ref, const char* arg_key, std::uint64_t arg_val) {
+    if (ref == 0 || ref > records_.size()) return;
+    SpanRecord& r = records_[ref - 1];
+    r.arg_key = arg_key;
+    r.arg_val = arg_val;
+  }
 
   // ---- ambient trace context (synchronous cross-layer handoff) -------
   [[nodiscard]] TraceId current_trace() const { return cur_trace_; }
@@ -130,8 +151,11 @@ class Tracer {
   void write_chrome_json(std::ostream& os) const;
 
  private:
-  SpanRecord* push(TraceId trace, NodeId node, Layer layer, const char* name,
-                   SpanRef parent, bool is_instant);
+  /// Appends a record (tracing enabled); its ref, or 0 when at capacity.
+  SpanRef push(TraceId trace, NodeId node, Layer layer, const char* name,
+               SpanRef parent, bool is_instant);
+  TraceId open_trace(NodeId node, Layer layer);
+  void close(SpanRef ref);
 
   sim::Scheduler& sched_;
   std::size_t max_records_;
