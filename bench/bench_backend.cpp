@@ -26,7 +26,8 @@
 //                   [--compare=BASELINE.json] [--min-ratio=R]
 //
 // --compare gates the speedup ratios against the newest baseline run
-// line (default min-ratio 0.8), mirroring bench_perf_core's perf gate.
+// line (default min-ratio 0.8), mirroring bench_perf_core's perf gate; a
+// missing or empty baseline exits 3 before anything runs.
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -461,32 +462,9 @@ Best measure(runner::Engine& eng, std::uint64_t reps) {
   return best;
 }
 
-bool compare_against_baseline(const std::string& base_line,
-                              const std::string& run_line,
-                              double min_ratio) {
-  static const char* kGated[] = {"query_speedup", "downsample_speedup",
-                                 "publish_speedup"};
-  bool ok = true;
-  std::printf("\nperf-regression gate (min ratio %.2f):\n", min_ratio);
-  for (const char* key : kGated) {
-    double base = 0;
-    double cur = 0;
-    if (!bench::bench_field(base_line, key, base) || base <= 0) {
-      std::printf("  %-22s baseline missing — skipped\n", key);
-      continue;
-    }
-    if (!bench::bench_field(run_line, key, cur)) {
-      std::printf("  %-22s MISSING in current run\n", key);
-      ok = false;
-      continue;
-    }
-    const double ratio = cur / base;
-    std::printf("  %-22s x%8.1f vs x%8.1f baseline  (ratio %.2f)%s\n", key,
-                cur, base, ratio, ratio < min_ratio ? "  REGRESSION" : "");
-    if (ratio < min_ratio) ok = false;
-  }
-  return ok;
-}
+/// Gated by --compare: the speedups over the embedded seed versions.
+constexpr const char* kGated[] = {"query_speedup", "downsample_speedup",
+                                  "publish_speedup"};
 
 }  // namespace
 
@@ -518,6 +496,11 @@ int main(int argc, char** argv) {
     ++positional;
   }
   if (reps == 0) reps = 1;
+  std::string base_line;
+  if (!compare_path.empty()) {
+    base_line = bench::compare_baseline(compare_path, "bench_backend");
+    if (base_line.empty()) return 3;
+  }
 
   bench::print_header(
       "PERF: backend-tier hot paths (store + pub/sub bus)",
@@ -594,17 +577,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  bool gate_ok = true;
-  if (!compare_path.empty()) {
-    const std::string base_line = bench::last_bench_run_line(compare_path);
-    if (base_line.empty()) {
-      std::printf("FAIL: no baseline run line in %s\n", compare_path.c_str());
-      gate_ok = false;
-    } else {
-      gate_ok = compare_against_baseline(base_line, run.str(), min_ratio);
-      std::printf("perf gate: %s\n", gate_ok ? "OK" : "FAILED");
-    }
-  }
+  const bool gate_ok =
+      base_line.empty() ||
+      bench::ratio_gate(base_line, run.str(), kGated, min_ratio);
   if (!best.deterministic) {
     std::printf("determinism gate: FAILED (results diverged across reps)\n");
   }

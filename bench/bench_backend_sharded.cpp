@@ -30,6 +30,9 @@
 //   ./bench_backend_sharded [label] [output.json] [--reps=N]
 //                           [--compare=BASELINE.json] [--min-ratio=R]
 //                           [--min-scaling=S]
+//
+// Exit codes: 0 pass, 1 a gate failed, 2 bad arguments, 3 the --compare
+// baseline is missing or holds no run line.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -351,32 +354,9 @@ ConfigResult run_oracle(const Workload& w) {
   return r;
 }
 
-bool compare_against_baseline(const std::string& base_line,
-                              const std::string& run_line,
-                              double min_ratio) {
-  static const char* kGated[] = {"ingest_per_sec_s1", "agg_per_sec_s1",
-                                 "dispatch_per_sec_s1"};
-  bool ok = true;
-  std::printf("\nperf-regression gate (min ratio %.2f):\n", min_ratio);
-  for (const char* key : kGated) {
-    double base = 0;
-    double cur = 0;
-    if (!iiot::bench::bench_field(base_line, key, base) || base <= 0) {
-      std::printf("  %-22s baseline missing — skipped\n", key);
-      continue;
-    }
-    if (!iiot::bench::bench_field(run_line, key, cur)) {
-      std::printf("  %-22s MISSING in current run\n", key);
-      ok = false;
-      continue;
-    }
-    const double ratio = cur / base;
-    std::printf("  %-22s %12.0f vs %12.0f baseline  (ratio %.2f)%s\n", key,
-                cur, base, ratio, ratio < min_ratio ? "  REGRESSION" : "");
-    if (ratio < min_ratio) ok = false;
-  }
-  return ok;
-}
+/// Gated by --compare: single-shard throughput of each phase.
+constexpr const char* kGated[] = {"ingest_per_sec_s1", "agg_per_sec_s1",
+                                  "dispatch_per_sec_s1"};
 
 }  // namespace
 
@@ -408,6 +388,11 @@ int main(int argc, char** argv) {
     ++positional;
   }
   if (reps == 0) reps = 1;
+  std::string base_line;
+  if (!compare_path.empty()) {
+    base_line = bench::compare_baseline(compare_path, "bench_backend_sharded");
+    if (base_line.empty()) return 3;
+  }
 
   bench::print_header(
       "PERF: sharded backend tier (multi-core store + pub/sub front)",
@@ -546,18 +531,9 @@ int main(int argc, char** argv) {
   std::printf("\nwrote %s (label \"%s\")\n", out_path.c_str(),
               label.c_str());
 
-  bool gate_ok = true;
-  if (!compare_path.empty()) {
-    const std::string base_line = bench::last_bench_run_line(compare_path);
-    if (base_line.empty()) {
-      std::printf("FAIL: no baseline run line in %s\n",
-                  compare_path.c_str());
-      gate_ok = false;
-    } else {
-      gate_ok = compare_against_baseline(base_line, run.str(), min_ratio);
-      std::printf("perf gate: %s\n", gate_ok ? "OK" : "FAILED");
-    }
-  }
+  const bool gate_ok =
+      base_line.empty() ||
+      bench::ratio_gate(base_line, run.str(), kGated, min_ratio);
   if (!deterministic) {
     std::printf("determinism gate: FAILED (artifacts diverged across "
                 "reps)\n");

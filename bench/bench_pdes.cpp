@@ -114,31 +114,8 @@ RunResult run_config(const SizeCfg& size, unsigned lanes) {
   return r;
 }
 
-bool compare_against_baseline(const std::string& base_line,
-                              const std::string& run_line,
-                              double min_ratio) {
-  static const char* kGated[] = {"eps_2k_l1", "eps_5k_l1", "eps_10k_l1"};
-  bool ok = true;
-  std::printf("\nperf-regression gate (min ratio %.2f):\n", min_ratio);
-  for (const char* key : kGated) {
-    double base = 0;
-    double cur = 0;
-    if (!iiot::bench::bench_field(base_line, key, base) || base <= 0) {
-      std::printf("  %-14s baseline missing — skipped\n", key);
-      continue;
-    }
-    if (!iiot::bench::bench_field(run_line, key, cur)) {
-      std::printf("  %-14s MISSING in current run\n", key);
-      ok = false;
-      continue;
-    }
-    const double ratio = cur / base;
-    std::printf("  %-14s %12.0f vs %12.0f baseline  (ratio %.2f)%s\n", key,
-                cur, base, ratio, ratio < min_ratio ? "  REGRESSION" : "");
-    if (ratio < min_ratio) ok = false;
-  }
-  return ok;
-}
+/// Gated by --compare: serial events/sec of each world size.
+constexpr const char* kGated[] = {"eps_2k_l1", "eps_5k_l1", "eps_10k_l1"};
 
 }  // namespace
 
@@ -172,15 +149,8 @@ int main(int argc, char** argv) {
   if (reps == 0) reps = 1;
   std::string base_line;
   if (!compare_path.empty()) {
-    base_line = bench::last_bench_run_line(compare_path);
-    if (base_line.empty()) {
-      std::fprintf(stderr,
-                   "configuration error: baseline %s is missing or has no "
-                   "run line; record one with: bench_pdes baseline %s "
-                   "--reps=3 (Release build)\n",
-                   compare_path.c_str(), compare_path.c_str());
-      return 3;
-    }
+    base_line = bench::compare_baseline(compare_path, "bench_pdes");
+    if (base_line.empty()) return 3;
   }
 
   bench::print_header(
@@ -298,10 +268,8 @@ int main(int argc, char** argv) {
   std::printf("\nwrote %s (label \"%s\")\n", out_path.c_str(),
               label.c_str());
 
-  bool gate_ok = true;
-  if (!base_line.empty()) {
-    gate_ok = compare_against_baseline(base_line, run.str(), min_ratio);
-    std::printf("perf gate: %s\n", gate_ok ? "OK" : "FAILED");
-  }
+  const bool gate_ok =
+      base_line.empty() ||
+      bench::ratio_gate(base_line, run.str(), kGated, min_ratio);
   return identical && scaling_ok && gate_ok ? 0 : 1;
 }

@@ -27,7 +27,8 @@
 //                runs are cleanest serial; >1 trades noise for speed)
 // --compare=F    perf-regression gate: read the newest run line of F and
 //                exit 1 if any events/sec metric drops below
-//                min-ratio × baseline (default 0.8, i.e. a >20% drop)
+//                min-ratio × baseline (default 0.8, i.e. a >20% drop);
+//                exit 3 before running if F is missing or has no run line
 // --min-ratio=R  override the compare threshold
 //
 // Pass a label like "seed" or "optimized"; default "current".
@@ -248,36 +249,17 @@ bool measure(runner::Engine& eng, std::uint64_t reps, Best& best) {
 
 // ---------------------------------------------------------------- compare
 
-/// Perf-regression gate: every events/sec metric of `run_line` must reach
-/// `min_ratio` × the same metric in `base_line`. Counters are reported
-/// informationally (they may legitimately drift across compiler/libm
-/// versions; within-run determinism is gated by measure() instead).
-bool compare_against_baseline(const std::string& base_line,
-                              const std::string& run_line, double min_ratio) {
-  static const char* kGated[] = {
-      "churn_events_per_sec",  "churn_ops_per_sec",
-      "periodic_events_per_sec", "net50_events_per_sec",
-      "net200_events_per_sec", "net500_events_per_sec",
-  };
-  bool ok = true;
-  std::printf("\nperf-regression gate (min ratio %.2f):\n", min_ratio);
-  for (const char* key : kGated) {
-    double base = 0;
-    double cur = 0;
-    if (!iiot::bench::bench_field(base_line, key, base) || base <= 0) {
-      std::printf("  %-26s baseline missing — skipped\n", key);
-      continue;
-    }
-    if (!iiot::bench::bench_field(run_line, key, cur)) {
-      std::printf("  %-26s MISSING in current run\n", key);
-      ok = false;
-      continue;
-    }
-    const double ratio = cur / base;
-    std::printf("  %-26s %12.0f vs %12.0f baseline  (x%.2f)%s\n", key, cur,
-                base, ratio, ratio < min_ratio ? "  REGRESSION" : "");
-    if (ratio < min_ratio) ok = false;
-  }
+/// Gated by --compare: every events/sec metric.
+constexpr const char* kGated[] = {
+    "churn_events_per_sec",  "churn_ops_per_sec",
+    "periodic_events_per_sec", "net50_events_per_sec",
+    "net200_events_per_sec", "net500_events_per_sec",
+};
+
+/// Counters are reported, not gated: they may legitimately drift across
+/// compiler/libm versions (within-run determinism is gated by measure()).
+void note_counter_drift(const std::string& base_line,
+                        const std::string& run_line) {
   for (const char* key : {"net200_transmissions", "net200_collisions"}) {
     double base = 0;
     double cur = 0;
@@ -288,7 +270,6 @@ bool compare_against_baseline(const std::string& base_line,
                   key, cur, base);
     }
   }
-  return ok;
 }
 
 }  // namespace
@@ -321,6 +302,11 @@ int main(int argc, char** argv) {
     ++positional;
   }
   if (reps == 0) reps = 1;
+  std::string base_line;
+  if (!compare_path.empty()) {
+    base_line = iiot::bench::compare_baseline(compare_path, "bench_perf_core");
+    if (base_line.empty()) return 3;
+  }
 
   iiot::bench::print_header(
       "PERF: discrete-event core wall-clock throughput",
@@ -380,16 +366,10 @@ int main(int argc, char** argv) {
   std::printf("\nwrote %s (label \"%s\")\n", out_path.c_str(), label.c_str());
 
   bool gate_ok = true;
-  if (!compare_path.empty()) {
-    const std::string base_line =
-        iiot::bench::last_bench_run_line(compare_path);
-    if (base_line.empty()) {
-      std::printf("FAIL: no baseline run line in %s\n", compare_path.c_str());
-      gate_ok = false;
-    } else {
-      gate_ok = compare_against_baseline(base_line, run.str(), min_ratio);
-      std::printf("perf gate: %s\n", gate_ok ? "OK" : "FAILED");
-    }
+  if (!base_line.empty()) {
+    gate_ok =
+        iiot::bench::ratio_gate(base_line, run.str(), kGated, min_ratio);
+    note_counter_drift(base_line, run.str());
   }
   if (!deterministic) {
     std::printf("determinism gate: FAILED (counters diverged across reps)\n");

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -84,32 +85,10 @@ inline double mean(const std::vector<double>& v) {
   return s / static_cast<double>(v.size());
 }
 
-/// RPL configuration paced for the chosen MAC: duty-cycled MACs need a
-/// Trickle Imin no shorter than the wake interval.
+/// The paced RPL configuration (core::paced_node_config).
 inline core::NodeConfig node_config(core::MacKind mac,
                                     sim::Duration wake_interval = 500'000) {
-  core::NodeConfig cfg;
-  cfg.mac = mac;
-  cfg.lpl.wake_interval = wake_interval;
-  cfg.rimac.wake_interval = wake_interval;
-  if (mac == core::MacKind::kCsma) {
-    cfg.rpl.trickle = net::TrickleConfig{500'000, 8, 3};
-    cfg.rpl.dao_interval = 30'000'000;
-  } else {
-    // Control traffic is expensive on duty-cycled MACs (a broadcast
-    // occupies a full wake interval), so pace it accordingly.
-    cfg.rpl.trickle =
-        net::TrickleConfig{std::max<sim::Duration>(4 * wake_interval,
-                                                   2'000'000),
-                           8, 2};
-    cfg.rpl.dao_interval = 90'000'000;
-    cfg.rpl.dis_interval = 15'000'000;
-    // Contention bursts cause correlated ack losses; evicting the parent
-    // after only 3 of them causes repair storms whose broadcasts are
-    // ruinously expensive on duty-cycled MACs.
-    cfg.rpl.max_parent_failures = 6;
-  }
-  return cfg;
+  return core::paced_node_config(mac, wake_interval);
 }
 
 inline radio::PropagationConfig default_radio() {
@@ -181,6 +160,53 @@ inline bool bench_field(const std::string& run_line, const std::string& key,
   char* end = nullptr;
   out = std::strtod(run_line.c_str() + pos + needle.size(), &end);
   return end != nullptr && end != run_line.c_str() + pos + needle.size();
+}
+
+/// The `--compare` baseline's newest run line. When `path` is missing or
+/// holds no run line, prints a configuration error and returns "": the
+/// caller then exits 3 before running anything, so a broken setup is
+/// never mistaken for a regression.
+inline std::string compare_baseline(const std::string& path,
+                                    const char* benchmark) {
+  std::string line = last_bench_run_line(path);
+  if (line.empty()) {
+    std::fprintf(stderr,
+                 "configuration error: baseline %s is missing or has no run "
+                 "line; record one with: %s baseline %s --reps=3 (Release "
+                 "build)\n",
+                 path.c_str(), benchmark, path.c_str());
+  }
+  return line;
+}
+
+/// Perf-regression gate: each of `keys` in `run_line` must reach
+/// `min_ratio` × the same field of `base_line`. A key missing from either
+/// line, or not positive in the baseline, fails the gate.
+inline bool ratio_gate(const std::string& base_line,
+                       const std::string& run_line,
+                       std::span<const char* const> keys, double min_ratio) {
+  bool ok = true;
+  std::printf("\nperf-regression gate (min ratio %.2f):\n", min_ratio);
+  for (const char* key : keys) {
+    double base = 0;
+    double cur = 0;
+    if (!bench_field(base_line, key, base) || base <= 0) {
+      std::printf("  %-26s MISSING or not positive in baseline\n", key);
+      ok = false;
+      continue;
+    }
+    if (!bench_field(run_line, key, cur)) {
+      std::printf("  %-26s MISSING in current run\n", key);
+      ok = false;
+      continue;
+    }
+    const double ratio = cur / base;
+    std::printf("  %-26s %14.1f vs %14.1f baseline  (ratio %.2f)%s\n", key,
+                cur, base, ratio, ratio < min_ratio ? "  REGRESSION" : "");
+    if (ratio < min_ratio) ok = false;
+  }
+  std::printf("perf gate: %s\n", ok ? "OK" : "FAILED");
+  return ok;
 }
 
 }  // namespace iiot::bench

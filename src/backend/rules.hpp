@@ -8,14 +8,6 @@
 //     the measurement's series in the TimeSeriesStore. Evaluation rides
 //     the store's rollup-indexed aggregate() fast path, so a firing
 //     decision never rescans (or copies) the raw window.
-//
-// The engine is generic over its bus and store (BasicRuleEngine): the
-// classic single-shard plane instantiates RuleEngine =
-// BasicRuleEngine<TopicBus, TimeSeriesStore>, the sharded backend tier
-// (DESIGN.md §4g) instantiates ShardedRuleEngine over ShardedBus /
-// ShardedStore. A store type only needs find()/latest()/aggregate() plus
-// the SeriesRef/kNoSeries vocabulary; a bus type needs
-// subscribe()/unsubscribe()/publish().
 #pragma once
 
 #include <cstdint>
@@ -85,15 +77,11 @@ struct Action {
   std::function<void(const RuleFiring&)> callback;  // may be empty
 };
 
-template <typename BusT, typename StoreT>
-class BasicRuleEngine {
+class RuleEngine {
  public:
-  using SubId = typename BusT::SubId;
-  using SeriesRef = typename StoreT::SeriesRef;
-
   /// `store` is required only for window rules; point rules never touch
   /// it.
-  explicit BasicRuleEngine(BusT& bus, StoreT* store = nullptr)
+  explicit RuleEngine(TopicBus& bus, TimeSeriesStore* store = nullptr)
       : bus_(bus), store_(store) {}
 
   /// Installs a rule; measurements must be numeric ASCII payloads.
@@ -157,7 +145,7 @@ class BasicRuleEngine {
     std::string id;
     Condition cond;
     Action action;
-    SubId sub{};
+    TopicBus::SubId sub{};
     std::map<std::string, int> streak;  // per-topic debounce state
   };
 
@@ -165,13 +153,13 @@ class BasicRuleEngine {
     std::string id;
     WindowCondition cond;
     Action action;
-    SubId sub{};
+    TopicBus::SubId sub{};
     // Topic → series memo: series registrations are permanent, so once a
     // topic resolved, re-triggering samples skip the string-keyed find()
     // (the hot-path audit in DESIGN.md §4g). A filter matching several
     // topics keeps the newest; alternating topics degrade to find().
     std::string memo_topic;
-    SeriesRef memo_ref = StoreT::kNoSeries;
+    SeriesId memo_ref = kInvalidSeries;
   };
 
   void fire(const std::string& id, const Action& action,
@@ -208,10 +196,10 @@ class BasicRuleEngine {
     // Topics the ingest subscription does not capture (e.g. fewer than 3
     // levels under "+/+/#") have no series; those evaluations are
     // counted in window_skips() rather than silently dropped.
-    SeriesRef sid = rule.memo_ref;
-    if (sid == StoreT::kNoSeries || topic != rule.memo_topic) {
+    SeriesId sid = rule.memo_ref;
+    if (sid == kInvalidSeries || topic != rule.memo_topic) {
       sid = store_->find(topic);
-      if (sid == StoreT::kNoSeries) {
+      if (sid == kInvalidSeries) {
         ++window_skips_;
         return;
       }
@@ -243,15 +231,12 @@ class BasicRuleEngine {
     return v;
   }
 
-  BusT& bus_;
-  StoreT* store_ = nullptr;
+  TopicBus& bus_;
+  TimeSeriesStore* store_ = nullptr;
   std::map<std::string, std::shared_ptr<Rule>> rules_;
   std::map<std::string, std::shared_ptr<WindowRule>> window_rules_;
   std::uint64_t firings_ = 0;
   std::uint64_t window_skips_ = 0;
 };
-
-/// The classic single-shard application-logic plane.
-using RuleEngine = BasicRuleEngine<TopicBus, TimeSeriesStore>;
 
 }  // namespace iiot::backend

@@ -1,7 +1,6 @@
 #include "backend/sharded.hpp"
 
 #include <algorithm>
-#include <chrono>
 
 namespace iiot::backend {
 
@@ -50,16 +49,11 @@ void ShardedStore::append_bulk(std::span<const Slice> slices) {
   ++stats_.bulk_calls;
   const std::size_t n = shards_.size();
   for (auto& g : group_) g.clear();
-  std::vector<std::uint64_t> shard_points(n, 0);
   for (std::size_t i = 0; i < slices.size(); ++i) {
     const std::uint32_t s = shard_of(slices[i].ref);
     if (s >= n || slices[i].n == 0) continue;
     group_[s].push_back(static_cast<std::uint32_t>(i));
-    shard_points[s] += slices[i].n;
     stats_.bulk_points += slices[i].n;
-  }
-  for (std::size_t s = 0; s < n; ++s) {
-    batch_hist_.observe(static_cast<double>(shard_points[s]));
   }
   // One worker owns one whole shard: per-shard append order is the input
   // order, so the final state matches the serial loop at any job count.
@@ -139,19 +133,12 @@ agg::PartialAggregate ShardedStore::aggregate_many(
     std::span<const SeriesRef> refs, sim::Time from, sim::Time to) const {
   std::vector<agg::PartialAggregate> parts(refs.size());
   aggregate_each(refs, from, to, parts.data());
-  using clock = std::chrono::steady_clock;
-  const auto t0 = merge_timed_ ? clock::now() : clock::time_point{};
   agg::PartialAggregate total;
   // Canonical merge order = argument order: bit-identical at any shard
   // count (a "fixed shard order" fold would reorder float sums whenever
   // the shard count changes the partition).
   for (const agg::PartialAggregate& p : parts) total.merge(p);
   stats_.merged_partials += parts.size();
-  if (merge_timed_) {
-    merge_hist_.observe(
-        std::chrono::duration<double, std::micro>(clock::now() - t0)
-            .count());
-  }
   return total;
 }
 
@@ -272,9 +259,6 @@ void ShardedBus::publish_batch_parallel(std::span<const BusMessage> msgs) {
   for (std::size_t i = 0; i < msgs.size(); ++i) {
     group_[route(msgs[i].topic)].push_back(static_cast<std::uint32_t>(i));
   }
-  for (std::size_t s = 0; s < n; ++s) {
-    queue_hist_.observe(static_cast<double>(group_[s].size()));
-  }
   // One worker per shard; within a shard, messages keep input order, so
   // every topic's (and therefore every subscription's) delivery sequence
   // matches the serial path. Cross-shard interleaving is unordered —
@@ -311,10 +295,6 @@ std::uint64_t ShardedBus::delivered() const {
   std::uint64_t n = 0;
   for (const TopicBus& b : shards_) n += b.delivered();
   return n;
-}
-
-void ShardedBus::set_fanout_histogram(obs::Histogram h) {
-  for (TopicBus& b : shards_) b.set_fanout_histogram(h);
 }
 
 }  // namespace iiot::backend

@@ -40,8 +40,7 @@
 //     unordered, so handlers must be shard-affine: any state a handler
 //     mutates must be keyed by the same first-level partition (or be
 //     thread-safe), and handlers must not publish to other shards while a
-//     parallel batch is in flight. The simulation-facing System wiring
-//     only uses the inline entry points and is exempt.
+//     parallel batch is in flight.
 #pragma once
 
 #include <cstdint>
@@ -52,11 +51,9 @@
 #include <unordered_map>
 #include <vector>
 
-#include "backend/rules.hpp"
 #include "backend/shard_map.hpp"
 #include "backend/timeseries.hpp"
 #include "backend/topic_bus.hpp"
-#include "obs/metrics.hpp"
 #include "runner/engine.hpp"
 
 namespace iiot::backend {
@@ -159,17 +156,6 @@ class ShardedStore {
   [[nodiscard]] const ShardMap& shard_map() const { return map_; }
   [[nodiscard]] const ShardedStoreStats& stats() const { return stats_; }
 
-  /// Per-shard point counts of each append_bulk call (the store-side
-  /// queue-depth/skew signal); null handle = one branch on the hot path.
-  void set_batch_histogram(obs::Histogram h) { batch_hist_ = h; }
-  /// Wall-clock microseconds spent in the serial merge fold of
-  /// aggregate_many (merge-tier latency). Only observed when set; never
-  /// part of any determinism artifact.
-  void set_merge_histogram(obs::Histogram h) {
-    merge_hist_ = h;
-    merge_timed_ = true;
-  }
-
   static constexpr std::uint32_t shard_of(SeriesRef ref) {
     return static_cast<std::uint32_t>(ref >> 32);
   }
@@ -187,9 +173,6 @@ class ShardedStore {
   runner::Engine* pool_ = nullptr;
   std::vector<std::vector<std::uint32_t>> group_;  // append_bulk scratch
   mutable ShardedStoreStats stats_;
-  obs::Histogram batch_hist_;
-  mutable obs::Histogram merge_hist_;  // observed from const aggregate_many
-  bool merge_timed_ = false;  // skip steady_clock reads until a sink exists
 };
 
 /// Struct-backed counters for the sharded bus front.
@@ -247,12 +230,6 @@ class ShardedBus {
   }
   [[nodiscard]] const ShardMap& shard_map() const { return map_; }
 
-  /// Per-shard message counts of each parallel batch (queue depth / skew
-  /// across shards); null handle keeps the hot path at one branch.
-  void set_queue_histogram(obs::Histogram h) { queue_hist_ = h; }
-  /// Forwarded to every shard's fan-out histogram.
-  void set_fanout_histogram(obs::Histogram h);
-
  private:
   struct StringHash {
     using is_transparent = void;
@@ -279,12 +256,6 @@ class ShardedBus {
       route_memo_;
   std::vector<std::vector<std::uint32_t>> group_;  // parallel-batch scratch
   mutable ShardedBusStats stats_;
-  obs::Histogram queue_hist_;
 };
-
-/// The sharded application-logic plane's rule engine (rules subscribe
-/// through the sharded bus — wildcard-rooted filters land on every shard
-/// — and window rules evaluate against the sharded store's rollup path).
-using ShardedRuleEngine = BasicRuleEngine<ShardedBus, ShardedStore>;
 
 }  // namespace iiot::backend

@@ -65,11 +65,6 @@ struct TimeSeriesStats {
 
 class TimeSeriesStore {
  public:
-  /// Generic series-handle vocabulary, shared with ShardedStore so the
-  /// rule engine template binds to either store uniformly.
-  using SeriesRef = SeriesId;
-  static constexpr SeriesRef kNoSeries = kInvalidSeries;
-
   explicit TimeSeriesStore(RetentionPolicy retention = {})
       : retention_(retention) {}
 

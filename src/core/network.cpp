@@ -1,8 +1,30 @@
 #include "core/network.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 namespace iiot::core {
+
+NodeConfig paced_node_config(MacKind mac, sim::Duration wake) {
+  NodeConfig cfg;
+  cfg.mac = mac;
+  cfg.lpl.wake_interval = wake;
+  cfg.rimac.wake_interval = wake;
+  if (mac == MacKind::kCsma) {
+    cfg.rpl.trickle = net::TrickleConfig{500'000, 8, 3};
+    cfg.rpl.dao_interval = 30'000'000;
+  } else {
+    cfg.rpl.trickle = net::TrickleConfig{
+        std::max<sim::Duration>(4 * wake, 2'000'000), 8, 2};
+    cfg.rpl.dao_interval = 90'000'000;
+    cfg.rpl.dis_interval = 15'000'000;
+    // Contention bursts cause correlated ack losses; evicting the parent
+    // after only 3 of them causes repair storms whose broadcasts are
+    // ruinously expensive on duty-cycled MACs.
+    cfg.rpl.max_parent_failures = 6;
+  }
+  return cfg;
+}
 
 MeshNode::MeshNode(radio::Medium& medium, sim::Scheduler& sched_, NodeId id_,
                    radio::Position pos, Rng rng, const NodeConfig& cfg)

@@ -41,6 +41,13 @@ struct NodeConfig {
   net::RplConfig rpl{};
 };
 
+/// RPL configuration paced for the chosen MAC, with duty-cycled MACs
+/// waking every `wake` µs. Duty-cycled MACs need a Trickle Imin no
+/// shorter than several wake intervals: a broadcast occupies a full wake
+/// interval, so control traffic is expensive there.
+[[nodiscard]] NodeConfig paced_node_config(MacKind mac,
+                                           sim::Duration wake = 500'000);
+
 /// One complete S&A-layer node.
 struct MeshNode {
   MeshNode(radio::Medium& medium, sim::Scheduler& sched, NodeId id,

@@ -1,6 +1,7 @@
 #include "core/system.hpp"
 
 #include <cstdio>
+#include <cstdlib>
 #include <optional>
 
 #include "agg/collection.hpp"
@@ -10,28 +11,6 @@ namespace iiot::core {
 namespace {
 constexpr std::uint8_t kTagSensor = 'S';
 constexpr std::uint8_t kTagCommand = 'C';
-
-/// Measurement handler over any store type: parses the numeric payload
-/// and appends via the interned-handle hot path. The (topic, ref) memo
-/// keeps the string-keyed shim cold across a burst on one topic — the
-/// hot-path audit of DESIGN.md §4g; TimeSeriesStats::string_appends
-/// stays 0 across System ingest.
-template <typename StoreT>
-auto make_measurement_handler(StoreT& store, sim::Scheduler& sched) {
-  return [&store, &sched, memo_topic = std::string(),
-          memo_ref = StoreT::kNoSeries](const std::string& topic,
-                                        BytesView p) mutable {
-    const std::string s = iiot::to_string(p);
-    char* end = nullptr;
-    const double v = std::strtod(s.c_str(), &end);
-    if (end == s.c_str()) return;
-    if (memo_ref == StoreT::kNoSeries || topic != memo_topic) {
-      memo_ref = store.intern(topic);
-      memo_topic = topic;
-    }
-    store.append(memo_ref, sched.now(), v);
-  };
-}
 }  // namespace
 
 System::System(sim::Scheduler& sched, std::uint64_t seed, SystemConfig cfg)
@@ -78,74 +57,24 @@ System::System(sim::Scheduler& sched, std::uint64_t seed, SystemConfig cfg)
         m.histogram("backend", "bus_fanout", obs::kWorldNode,
                     {0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 1024}));
   }
-  if (cfg_.backend_shards > 1) {
-    // Sharded backend tier (DESIGN.md §4g). The measurement subscription
-    // moves to the sharded bus, so measurements land in the sharded
-    // store; everything still published on the legacy bus (gateways,
-    // direct bus() users) is relayed into the sharded plane.
-    shard_pool_ = std::make_unique<runner::Engine>(cfg_.backend_workers);
-    sharded_store_ = std::make_unique<backend::ShardedStore>(
-        cfg_.backend_shards, cfg_.retention, shard_pool_.get());
-    sharded_bus_ = std::make_unique<backend::ShardedBus>(cfg_.backend_shards,
-                                                         shard_pool_.get());
-    // Subscribed before any rule can be added: lower SubId on every
-    // shard, so samples are stored before window rules evaluate (the
-    // rule engine's ordering invariant).
-    sharded_bus_->subscribe(
-        "+/+/#", make_measurement_handler(*sharded_store_, sched_));
-    sharded_rules_ = std::make_unique<backend::ShardedRuleEngine>(
-        *sharded_bus_, sharded_store_.get());
-    bus_.subscribe("#", [this](const std::string& topic, BytesView p) {
-      sharded_bus_->publish(topic, p);
-    });
-    if (obs_) {
-      obs::MetricsRegistry& m = obs_->metrics();
-      m.attach_gauge_fn(
-          "sharded", "bus_published", obs::kWorldNode,
-          [this] { return static_cast<double>(sharded_bus_->published()); },
-          this);
-      m.attach_gauge_fn(
-          "sharded", "bus_delivered", obs::kWorldNode,
-          [this] { return static_cast<double>(sharded_bus_->delivered()); },
-          this);
-      m.attach_gauge_fn(
-          "sharded", "store_appended", obs::kWorldNode,
-          [this] {
-            return static_cast<double>(sharded_store_->total_appended());
-          },
-          this);
-      const backend::ShardedStoreStats& ss = sharded_store_->stats();
-      m.attach_counter("sharded", "store_bulk_points", obs::kWorldNode,
-                       &ss.bulk_points, this);
-      m.attach_counter("sharded", "store_merged_partials", obs::kWorldNode,
-                       &ss.merged_partials, this);
-      m.attach_counter("sharded", "store_string_appends", obs::kWorldNode,
-                       &ss.string_appends, this);
-      const backend::ShardedBusStats& sb = sharded_bus_->stats();
-      m.attach_counter("sharded", "bus_parallel_batches", obs::kWorldNode,
-                       &sb.parallel_batches, this);
-      m.attach_counter("sharded", "bus_route_memo_hits", obs::kWorldNode,
-                       &sb.route_memo_hits, this);
-      // Skew/latency signals for the parallel entry points: per-shard
-      // batch sizes (points), per-shard queue depth (messages), and the
-      // merge tier's serial-fold latency in microseconds.
-      sharded_store_->set_batch_histogram(m.histogram(
-          "sharded", "shard_batch_points", obs::kWorldNode,
-          {0, 64, 256, 1024, 4096, 16384, 65536, 262144, 1048576}));
-      sharded_store_->set_merge_histogram(
-          m.histogram("sharded", "merge_latency_us", obs::kWorldNode,
-                      {1, 2, 4, 8, 16, 32, 64, 128, 256, 1024, 4096}));
-      sharded_bus_->set_queue_histogram(
-          m.histogram("sharded", "shard_queue_depth", obs::kWorldNode,
-                      {0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 1024, 4096}));
-      sharded_bus_->set_fanout_histogram(
-          m.histogram("sharded", "bus_fanout", obs::kWorldNode,
-                      {0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 1024}));
+  // Everything published on measurement topics lands in storage. The
+  // payload is parsed and appended via the interned-id hot path; the
+  // (topic, id) memo keeps the string-keyed shim cold across a burst on
+  // one topic — the hot-path audit of DESIGN.md §4g:
+  // TimeSeriesStats::string_appends stays 0 across System ingest.
+  bus_.subscribe("+/+/#", [this, memo_topic = std::string(),
+                           memo_id = backend::kInvalidSeries](
+                              const std::string& topic, BytesView p) mutable {
+    const std::string s = iiot::to_string(p);
+    char* end = nullptr;
+    const double v = std::strtod(s.c_str(), &end);
+    if (end == s.c_str()) return;
+    if (memo_id == backend::kInvalidSeries || topic != memo_topic) {
+      memo_id = store_.intern(topic);
+      memo_topic = topic;
     }
-  } else {
-    // Everything published on measurement topics lands in storage.
-    bus_.subscribe("+/+/#", make_measurement_handler(store_, sched_));
-  }
+    store_.append(memo_id, sched_.now(), v);
+  });
 }
 
 MeshNetwork& System::add_mesh(const std::string& site, NodeConfig node_cfg) {
@@ -174,9 +103,9 @@ void System::bridge(const std::string& site, MeshNetwork& mesh) {
         }
         char buf[32];
         std::snprintf(buf, sizeof(buf), "%.4f", *value);
-        publish_measurement(site + "/" + std::to_string(origin) + "/" +
-                                std::to_string(*object),
-                            std::string(buf));
+        bus_.publish(site + "/" + std::to_string(origin) + "/" +
+                         std::to_string(*object),
+                     std::string(buf));
       });
 }
 
@@ -246,23 +175,7 @@ void System::ingest(const std::string& topic,
                       reinterpret_cast<const std::uint8_t*>(buf) + len);
     views.emplace_back(bufs.back().data(), bufs.back().size());
   }
-  if (sharded_bus_) {
-    sharded_bus_->publish_batch(topic, views);
-  } else {
-    bus_.publish_batch(topic, views);
-  }
-}
-
-void System::publish_measurement(const std::string& topic,
-                                 const std::string& payload) {
-  // Measurement traffic targets the authoritative plane directly: with
-  // sharding on that is the sharded bus (one route + one shard-local
-  // match), otherwise the legacy bus.
-  if (sharded_bus_) {
-    sharded_bus_->publish(topic, payload);
-  } else {
-    bus_.publish(topic, payload);
-  }
+  bus_.publish_batch(topic, views);
 }
 
 void System::bridge_aggregate_sink(const std::string& site,
@@ -287,11 +200,7 @@ void System::bridge_aggregate_sink(const std::string& site,
           reinterpret_cast<const std::uint8_t*>(buf),
           reinterpret_cast<const std::uint8_t*>(buf) + len);
     }
-    if (sharded_bus_) {
-      sharded_bus_->publish_batch(msgs);
-    } else {
-      bus_.publish_batch(msgs);
-    }
+    bus_.publish_batch(msgs);
   });
 }
 

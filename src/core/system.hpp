@@ -18,12 +18,10 @@
 #include <vector>
 
 #include "backend/rules.hpp"
-#include "backend/sharded.hpp"
 #include "backend/timeseries.hpp"
 #include "backend/topic_bus.hpp"
 #include "core/network.hpp"
 #include "interop/gateway.hpp"
-#include "runner/engine.hpp"
 
 namespace iiot::agg {
 class TreeAggregation;
@@ -42,17 +40,6 @@ struct SystemConfig {
   bool tracing = false;
   /// Tracer memory bound (records); drops deterministically past it.
   std::size_t trace_capacity = 1u << 20;
-  /// Backend shard count (DESIGN.md §4g). 1 (default) keeps the classic
-  /// single-shard plane, byte-identical to earlier revisions. > 1 builds
-  /// the sharded tier: ingest()/bridge()/bridge_aggregate_sink() publish
-  /// through a ShardedBus, measurements land in a ShardedStore, and a
-  /// catch-all relay forwards anything published on the legacy bus()
-  /// (e.g. by interop gateways) into the sharded plane. Results are
-  /// byte-identical at any shard count; only throughput changes.
-  std::uint32_t backend_shards = 1;
-  /// Worker threads for the sharded tier's parallel entry points
-  /// (0 = hardware concurrency). Ignored when backend_shards == 1.
-  unsigned backend_workers = 0;
 };
 
 class System {
@@ -66,20 +53,6 @@ class System {
   [[nodiscard]] backend::TopicBus& bus() { return bus_; }
   [[nodiscard]] backend::TimeSeriesStore& store() { return store_; }
   [[nodiscard]] backend::RuleEngine& rules() { return rules_; }
-  /// Sharded-plane accessors — null unless cfg.backend_shards > 1. When
-  /// sharding is on, measurements live in sharded_store() (the legacy
-  /// store() stays empty) and rules that should see ingested data must be
-  /// added through sharded_rules(); commands those rules publish stay on
-  /// the sharded bus.
-  [[nodiscard]] backend::ShardedStore* sharded_store() {
-    return sharded_store_.get();
-  }
-  [[nodiscard]] backend::ShardedBus* sharded_bus() {
-    return sharded_bus_.get();
-  }
-  [[nodiscard]] backend::ShardedRuleEngine* sharded_rules() {
-    return sharded_rules_.get();
-  }
   [[nodiscard]] sim::Scheduler& scheduler() { return sched_; }
   /// The world's observability context (null unless enabled in config).
   [[nodiscard]] obs::Context* observability() { return obs_.get(); }
@@ -134,10 +107,6 @@ class System {
   };
 
   void install_node_dispatch(MeshNode& node);
-  /// Publishes one measurement on the authoritative plane (sharded bus
-  /// when enabled, legacy bus otherwise).
-  void publish_measurement(const std::string& topic,
-                           const std::string& payload);
 
   sim::Scheduler& sched_;
   Rng rng_;
@@ -149,14 +118,6 @@ class System {
   backend::TopicBus bus_;
   backend::TimeSeriesStore store_;
   backend::RuleEngine rules_;
-  // Sharded backend tier (null when backend_shards == 1). Declaration
-  // order doubles as the dependency order: the rule engine references the
-  // sharded bus/store, which borrow the worker pool — reverse destruction
-  // unwinds references before their targets.
-  std::unique_ptr<runner::Engine> shard_pool_;
-  std::unique_ptr<backend::ShardedStore> sharded_store_;
-  std::unique_ptr<backend::ShardedBus> sharded_bus_;
-  std::unique_ptr<backend::ShardedRuleEngine> sharded_rules_;
   std::vector<std::unique_ptr<radio::Medium>> mediums_;
   std::vector<std::unique_ptr<MeshNetwork>> meshes_;
   std::vector<interop::Gateway*> gateways_;

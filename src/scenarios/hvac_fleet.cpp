@@ -80,7 +80,7 @@ ShardResult run_shard(const RunParams& p, std::size_t shard) {
   radio::Medium medium(sched, pcfg, wseed);
 
   core::MeshNetwork net(sched, medium, Rng(wseed, 5),
-                        paced_node_config(core::MacKind::kLpl));
+                        core::paced_node_config(core::MacKind::kLpl));
   net.build_grid(n, 14.0);
   net.start(0);
 

@@ -69,7 +69,7 @@ ShardResult run_shard(const RunParams& p, std::size_t shard) {
   pcfg.shadowing_sigma_db = 0.0;
   radio::Medium medium(sched, pcfg, wseed);
 
-  core::NodeConfig ncfg = paced_node_config(core::MacKind::kCsma);
+  core::NodeConfig ncfg = core::paced_node_config(core::MacKind::kCsma);
   // Deep chains: the default TTL (32) would drop legitimate traffic on
   // 50-hop segments.
   ncfg.rpl.max_hops = 120;

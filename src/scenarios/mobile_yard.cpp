@@ -85,7 +85,7 @@ ShardResult run_shard(const RunParams& p, std::size_t shard) {
   radio::Medium medium(sched, pcfg, wseed);
 
   core::MeshNetwork net(sched, medium, Rng(wseed, 5),
-                        paced_node_config(core::MacKind::kCsma));
+                        core::paced_node_config(core::MacKind::kCsma));
   net.build_random_field(
       n, 13.0 * std::sqrt(static_cast<double>(n)));
   net.start(0);

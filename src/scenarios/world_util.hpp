@@ -1,8 +1,8 @@
 // Shared world-building helpers for the curated scenarios (internal to
-// src/scenarios/). Mirrors the fuzzer's harness idioms — paced RPL
-// configs, checkpointed advancing with medium audits, a root-side
-// delivery ledger — but carries timestamps and values in the payload so
-// scenarios can report end-to-end latency and feed the backend tier.
+// src/scenarios/). Mirrors the fuzzer's harness idioms — checkpointed
+// advancing with medium audits, a root-side delivery ledger — but carries
+// timestamps and values in the payload so scenarios can report end-to-end
+// latency and feed the backend tier.
 #pragma once
 
 #include <algorithm>
@@ -18,26 +18,6 @@
 #include "testing/invariants.hpp"
 
 namespace iiot::scenarios::detail {
-
-/// RPL pacing matched to the MAC (the fuzzer/bench policy): duty-cycled
-/// MACs get a Trickle Imin no shorter than several wake intervals.
-inline core::NodeConfig paced_node_config(core::MacKind mac) {
-  core::NodeConfig cfg;
-  cfg.mac = mac;
-  const sim::Duration wake = 500'000;
-  cfg.lpl.wake_interval = wake;
-  cfg.rimac.wake_interval = wake;
-  if (mac == core::MacKind::kCsma) {
-    cfg.rpl.trickle = net::TrickleConfig{500'000, 8, 3};
-    cfg.rpl.dao_interval = 30'000'000;
-  } else {
-    cfg.rpl.trickle = net::TrickleConfig{2'000'000, 8, 2};
-    cfg.rpl.dao_interval = 90'000'000;
-    cfg.rpl.dis_interval = 15'000'000;
-    cfg.rpl.max_parent_failures = 6;
-  }
-  return cfg;
-}
 
 /// 24-byte timed sample: origin, sequence, send time, value (IEEE-754
 /// bits — encoded as an integer, so the round trip is exact).

@@ -98,28 +98,6 @@ namespace {
 
 constexpr NodeId kChurnIdBase = 0xF0000;
 
-/// RPL pacing matched to the MAC (same policy as the benches): duty-cycled
-/// MACs get a Trickle Imin no shorter than several wake intervals.
-core::NodeConfig paced_config(ScenarioMac mac) {
-  core::NodeConfig cfg;
-  const sim::Duration wake = 500'000;
-  cfg.lpl.wake_interval = wake;
-  cfg.rimac.wake_interval = wake;
-  if (mac == ScenarioMac::kCsma) {
-    cfg.mac = core::MacKind::kCsma;
-    cfg.rpl.trickle = net::TrickleConfig{500'000, 8, 3};
-    cfg.rpl.dao_interval = 30'000'000;
-  } else {
-    cfg.mac = mac == ScenarioMac::kLpl ? core::MacKind::kLpl
-                                       : core::MacKind::kRiMac;
-    cfg.rpl.trickle = net::TrickleConfig{2'000'000, 8, 2};
-    cfg.rpl.dao_interval = 90'000'000;
-    cfg.rpl.dis_interval = 15'000'000;
-    cfg.rpl.max_parent_failures = 6;
-  }
-  return cfg;
-}
-
 radio::PropagationConfig propagation_for(const ScenarioConfig& cfg) {
   radio::PropagationConfig pcfg;
   pcfg.exponent = cfg.exponent;
@@ -313,7 +291,12 @@ ScenarioResult run_mesh(const ScenarioConfig& cfg) {
   radio::FaultInjector injector(medium, cfg.seed, cfg.frame_faults);
 
   const std::size_t n = std::max<std::size_t>(cfg.nodes, 3);
-  core::MeshNetwork net(sched, medium, Rng(cfg.seed, 5), paced_config(cfg.mac));
+  const core::MacKind mac = cfg.mac == ScenarioMac::kCsma ? core::MacKind::kCsma
+                            : cfg.mac == ScenarioMac::kLpl
+                                ? core::MacKind::kLpl
+                                : core::MacKind::kRiMac;
+  core::MeshNetwork net(sched, medium, Rng(cfg.seed, 5),
+                        core::paced_node_config(mac));
   switch (cfg.topology) {
     case ScenarioTopology::kLine: net.build_line(n, cfg.spacing); break;
     case ScenarioTopology::kGrid: net.build_grid(n, cfg.spacing); break;

@@ -845,6 +845,16 @@ TEST(SystemBackend, IngestBatchLandsInStore) {
   EXPECT_EQ(system.bus().published(), 3u);
 }
 
+TEST(SystemBackend, IngestKeepsStringShimCold) {
+  sim::Scheduler sched;
+  core::System system(sched, 1);
+  const double vals[] = {4.0, 5.0};
+  system.ingest("site/1/3303", vals);
+  system.ingest("site/2/3303", vals);
+  EXPECT_EQ(system.store().total_appended(), 4u);
+  EXPECT_EQ(system.store().stats().string_appends, 0u);
+}
+
 TEST(SystemBackend, MetricsExposeFastPathCounters) {
   sim::Scheduler sched;
   core::SystemConfig cfg;
@@ -864,7 +874,8 @@ TEST(SystemBackend, MetricsExposeFastPathCounters) {
         "backend.store_appended", "backend.store_evicted",
         "backend.store_rollup_hits", "backend.store_chunk_scans",
         "backend.bus_exact_hits", "backend.bus_trie_nodes",
-        "backend.bus_deferred_unsubs", "backend.bus_fanout"}) {
+        "backend.bus_deferred_unsubs", "backend.bus_fanout",
+        "backend.store_string_appends"}) {
     EXPECT_TRUE(names.count(want)) << "missing metric " << want;
   }
 }

@@ -7,7 +7,6 @@
 #include <bit>
 #include <cstdint>
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -16,9 +15,7 @@
 #include "backend/sharded.hpp"
 #include "backend/timeseries.hpp"
 #include "backend/topic_bus.hpp"
-#include "core/system.hpp"
 #include "runner/engine.hpp"
-#include "sim/scheduler.hpp"
 
 namespace iiot::backend {
 namespace {
@@ -716,163 +713,6 @@ TEST(ShardedBusDiff, RouteMemoServesRepeatedSites) {
   const auto& st = bus.stats();
   EXPECT_GT(st.route_memo_hits, 90u);  // all but the first resolve hit
   EXPECT_EQ(st.routed, 101u);          // 100 publishes + 1 subscribe route
-}
-
-// --------------------------------------------------- system wiring
-
-TEST(ShardedSystem, IngestLandsInShardedStoreAndKeepsShimCold) {
-  sim::Scheduler sched;
-  core::SystemConfig cfg;
-  cfg.backend_shards = 4;
-  cfg.backend_workers = 2;
-  core::System system(sched, 1, cfg);
-  ASSERT_NE(system.sharded_store(), nullptr);
-  ASSERT_NE(system.sharded_bus(), nullptr);
-  ASSERT_NE(system.sharded_rules(), nullptr);
-
-  const double vals[] = {1.0, 2.0, 3.5};
-  system.ingest("plant/1/3303", vals);
-  system.ingest("mill/9/3300", vals);
-  EXPECT_EQ(system.sharded_store()->points(std::string("plant/1/3303")),
-            3u);
-  EXPECT_EQ(system.sharded_store()->points(std::string("mill/9/3300")),
-            3u);
-  // The legacy store is idle when sharding is on.
-  EXPECT_EQ(system.store().total_appended(), 0u);
-  // Hot-path audit: all appends went through interned refs — the string
-  // shim stayed cold on the sharded store and on every shard beneath it.
-  EXPECT_EQ(system.sharded_store()->stats().string_appends, 0u);
-  for (std::uint32_t s = 0; s < system.sharded_store()->shard_count();
-       ++s) {
-    EXPECT_EQ(system.sharded_store()->shard(s).stats().string_appends, 0u);
-  }
-}
-
-TEST(ShardedSystem, SingleShardSystemKeepsShimColdToo) {
-  sim::Scheduler sched;
-  core::System system(sched, 1);
-  const double vals[] = {4.0, 5.0};
-  system.ingest("site/1/3303", vals);
-  system.ingest("site/2/3303", vals);
-  EXPECT_EQ(system.store().total_appended(), 4u);
-  EXPECT_EQ(system.store().stats().string_appends, 0u);
-}
-
-TEST(ShardedSystem, LegacyBusPublishesRelayIntoShardedPlane) {
-  sim::Scheduler sched;
-  core::SystemConfig cfg;
-  cfg.backend_shards = 3;
-  cfg.backend_workers = 1;
-  core::System system(sched, 7, cfg);
-  // Anything a gateway (or direct bus() user) publishes on the legacy
-  // bus flows through the relay into the sharded store.
-  system.bus().publish("legacy/4/77", std::string("12.5"));
-  ASSERT_TRUE(
-      system.sharded_store()->latest(std::string("legacy/4/77")));
-  EXPECT_DOUBLE_EQ(
-      system.sharded_store()->latest(std::string("legacy/4/77"))->value,
-      12.5);
-  EXPECT_EQ(system.store().total_appended(), 0u);
-}
-
-TEST(ShardedSystem, WindowRuleFiresOnShardedPlane) {
-  sim::Scheduler sched;
-  core::SystemConfig cfg;
-  cfg.backend_shards = 4;
-  cfg.backend_workers = 2;
-  core::System system(sched, 3, cfg);
-  int fired = 0;
-  double last = 0.0;
-  WindowCondition cond;
-  cond.topic_filter = "plant/+/#";
-  cond.window = 1'000'000;
-  cond.fn = agg::AggFn::kAvg;
-  cond.op = CmpOp::kGreater;
-  cond.threshold = 10.0;
-  cond.min_samples = 3;
-  Action act;
-  act.callback = [&](const RuleFiring& f) {
-    ++fired;
-    last = f.value;
-  };
-  system.sharded_rules()->add_window_rule("hot", cond, act);
-
-  const double cool[] = {1.0, 2.0, 3.0};
-  system.ingest("plant/1/3303", cool);
-  EXPECT_EQ(fired, 0);
-  const double hot[] = {40.0, 50.0, 60.0};
-  system.ingest("plant/1/3303", hot);
-  EXPECT_GT(fired, 0);
-  EXPECT_GT(last, 10.0);
-  EXPECT_EQ(system.sharded_rules()->window_skips(), 0u);
-}
-
-TEST(ShardedSystem, ShardedResultsMatchSingleShardSystem) {
-  // The same ingest script against backend_shards = 1 (classic plane)
-  // and backend_shards = 5 must produce byte-identical query artifacts.
-  const auto run = [](std::uint32_t shards) {
-    sim::Scheduler sched;
-    core::SystemConfig cfg;
-    cfg.backend_shards = shards;
-    cfg.backend_workers = 2;
-    core::System system(sched, 11, cfg);
-    Lcg rng(31);
-    std::vector<std::string> topics;
-    for (int i = 0; i < 12; ++i) {
-      topics.push_back("site" + std::to_string(i % 5) + "/" +
-                       std::to_string(i) + "/3303");
-    }
-    for (int round = 0; round < 40; ++round) {
-      std::vector<double> vals;
-      for (int k = 0; k < 8; ++k) vals.push_back(rng.unit() * 100.0);
-      system.ingest(topics[round % topics.size()], vals);
-    }
-    std::vector<std::vector<Point>> out;
-    for (const std::string& t : topics) {
-      if (shards > 1) {
-        out.push_back(system.sharded_store()->query(t, 0, 1'000'000));
-      } else {
-        out.push_back(system.store().query(t, 0, 1'000'000));
-      }
-    }
-    return out;
-  };
-  const auto single = run(1);
-  const auto sharded = run(5);
-  ASSERT_EQ(single.size(), sharded.size());
-  for (std::size_t i = 0; i < single.size(); ++i) {
-    ASSERT_EQ(single[i].size(), sharded[i].size()) << i;
-    for (std::size_t k = 0; k < single[i].size(); ++k) {
-      EXPECT_EQ(single[i][k].at, sharded[i][k].at);
-      EXPECT_TRUE(bits_equal(single[i][k].value, sharded[i][k].value));
-    }
-  }
-}
-
-TEST(ShardedSystem, MetricsExposeShardedCounters) {
-  sim::Scheduler sched;
-  core::SystemConfig cfg;
-  cfg.backend_shards = 2;
-  cfg.backend_workers = 1;
-  cfg.observability = true;
-  core::System system(sched, 2, cfg);
-  const double vals[] = {1.0, 2.0};
-  system.ingest("site/1/3303", vals);
-  ASSERT_NE(system.observability(), nullptr);
-  std::set<std::string> names;
-  for (const auto& s : system.observability()->metrics().snapshot()) {
-    names.insert(s.module + "." + s.name);
-  }
-  for (const char* want :
-       {"sharded.bus_published", "sharded.bus_delivered",
-        "sharded.store_appended", "sharded.store_bulk_points",
-        "sharded.store_merged_partials", "sharded.store_string_appends",
-        "sharded.bus_parallel_batches", "sharded.bus_route_memo_hits",
-        "sharded.shard_batch_points", "sharded.merge_latency_us",
-        "sharded.shard_queue_depth", "sharded.bus_fanout",
-        "backend.store_string_appends"}) {
-    EXPECT_TRUE(names.count(want)) << "missing metric " << want;
-  }
 }
 
 }  // namespace
