@@ -11,12 +11,13 @@
 //   4. bus_fanout     — publishes into 10k subscriptions (trie + exact
 //                       index vs the seed's linear topic_matches scan).
 //
-// The seed implementations (pre-interning store, pre-trie bus) are
-// embedded as naive references and run in the same process on the same
-// workload, so every run reports machine-independent speedup ratios and
-// checks observable equivalence: query results must be byte-identical,
-// downsample results identical up to an ulp tolerance on the bucket
-// averages, and bus deliveries must arrive in the same order.
+// The seed implementations (pre-interning store, pre-trie bus, in
+// testing/backend_oracle.hpp) run as naive references in the same
+// process on the same workload, so every run reports machine-independent
+// speedup ratios and checks observable equivalence: query results must
+// be byte-identical, downsample results identical up to an ulp tolerance
+// on the bucket averages, and bus deliveries must arrive in the same
+// order.
 // Hard floors (the ISSUE's acceptance bar) fail the run outright:
 // query and downsample >= 10x, publish fan-out >= 5x.
 //
@@ -32,9 +33,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <deque>
 #include <limits>
-#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -43,100 +42,22 @@
 #include "backend/topic_bus.hpp"
 #include "bench_util.hpp"
 #include "runner/engine.hpp"
+#include "testing/backend_oracle.hpp"
 
 namespace {
 
 using namespace iiot;
 using backend::Point;
 using backend::SeriesId;
+using iiot::testing::Lcg;
+using iiot::testing::RefBus;
+using iiot::testing::RefStore;
 
 double now_seconds() {
   using clock = std::chrono::steady_clock;
   return std::chrono::duration<double>(clock::now().time_since_epoch())
       .count();
 }
-
-struct Lcg {
-  std::uint64_t s;
-  std::uint64_t next() {
-    s = s * 6364136223846793005ULL + 1442695040888963407ULL;
-    return s >> 33;
-  }
-  std::uint64_t below(std::uint64_t n) { return next() % n; }
-};
-
-// ---- the seed implementations, embedded as references -----------------
-
-// Pre-interning store: map of deques, linear range scans.
-class NaiveStore {
- public:
-  void append(const std::string& series, sim::Time at, double value) {
-    auto& log = series_[series];
-    if (!log.empty() && at < log.back().at) at = log.back().at;
-    log.push_back(Point{at, value});
-  }
-
-  [[nodiscard]] std::vector<Point> query(const std::string& series,
-                                         sim::Time from,
-                                         sim::Time to) const {
-    std::vector<Point> out;
-    auto it = series_.find(series);
-    if (it == series_.end()) return out;
-    for (const Point& p : it->second) {
-      if (p.at >= from && p.at <= to) out.push_back(p);
-    }
-    return out;
-  }
-
-  [[nodiscard]] std::vector<Point> downsample(const std::string& series,
-                                              sim::Time from, sim::Time to,
-                                              sim::Duration bucket) const {
-    std::vector<Point> out;
-    if (bucket == 0) return out;
-    auto raw = query(series, from, to);
-    std::size_t i = 0;
-    while (i < raw.size()) {
-      const sim::Time start = raw[i].at - (raw[i].at - from) % bucket;
-      double sum = 0;
-      std::size_t n = 0;
-      while (i < raw.size() && raw[i].at < start + bucket) {
-        sum += raw[i].value;
-        ++n;
-        ++i;
-      }
-      out.push_back(Point{start, sum / static_cast<double>(n)});
-    }
-    return out;
-  }
-
- private:
-  std::map<std::string, std::deque<Point>> series_;
-};
-
-// Pre-trie bus: ordered subscription map, linear topic_matches scan.
-class NaiveBus {
- public:
-  using Handler = backend::TopicBus::Handler;
-
-  void subscribe(std::string filter, Handler handler) {
-    subs_[next_id_++] = Sub{std::move(filter), std::move(handler)};
-  }
-  void publish(const std::string& topic, BytesView payload) {
-    for (auto& [id, sub] : subs_) {
-      if (backend::topic_matches(sub.filter, topic)) {
-        sub.handler(topic, payload);
-      }
-    }
-  }
-
- private:
-  struct Sub {
-    std::string filter;
-    Handler handler;
-  };
-  std::map<std::uint64_t, Sub> subs_;
-  std::uint64_t next_id_ = 1;
-};
 
 // ---- workloads --------------------------------------------------------
 
@@ -179,7 +100,7 @@ AppendResult bench_append() {
     r.checksum = store.stats().appends + store.points(id);
   }
   {
-    NaiveStore store;
+    RefStore store;
     const double t0 = now_seconds();
     for (const Point& p : pts) store.append("plant/1/3303", p.at, p.value);
     const double wall = now_seconds() - t0;
@@ -240,7 +161,7 @@ RangeResult bench_query() {
   const auto pts = make_points();
   const sim::Time span = pts.back().at;
   backend::TimeSeriesStore fast;
-  NaiveStore naive;
+  RefStore naive;
   const SeriesId id = fast.intern("s");
   fast.append_batch(id, pts.data(), pts.size());
   for (const Point& p : pts) naive.append("s", p.at, p.value);
@@ -286,7 +207,7 @@ RangeResult bench_downsample() {
   const auto pts = make_points();
   const sim::Time span = pts.back().at;
   backend::TimeSeriesStore fast;
-  NaiveStore naive;
+  RefStore naive;
   const SeriesId id = fast.intern("s");
   fast.append_batch(id, pts.data(), pts.size());
   for (const Point& p : pts) naive.append("s", p.at, p.value);
@@ -358,7 +279,7 @@ FanoutResult bench_fanout() {
   // delivery-order oracle and as (identical) per-delivery work.
   std::vector<std::uint32_t> fast_log, naive_log;
   backend::TopicBus fast;
-  NaiveBus naive;
+  RefBus naive;
   for (std::size_t i = 0; i < filters.size(); ++i) {
     const auto idx = static_cast<std::uint32_t>(i);
     fast.subscribe(filters[i], [&fast_log, idx](const std::string&,

@@ -11,9 +11,8 @@
 //
 // Scaling gate: the largest world must beat the serial oracle by
 // --min-scaling (default 2.0) at 4 lanes. Enforced only when the machine
-// has >= 4 hardware threads (CI runners); informational otherwise,
-// exactly like bench_backend_sharded. The digest-identity check is
-// enforced everywhere, at every lane count.
+// has >= 4 hardware threads (CI runners); informational otherwise.
+// The digest-identity check is enforced everywhere, at every lane count.
 //
 // Results append to BENCH_pdes.json:
 //

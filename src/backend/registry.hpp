@@ -22,13 +22,12 @@ namespace iiot::backend {
 /// Consistent-hash ring with virtual nodes: the decentralized placement
 /// primitive (each client computes the owner locally — no directory hop).
 ///
-/// Hot-path design (DESIGN.md §4g): every vnode hash is computed once at
-/// add_node() and cached, so remove_node() never re-derives vnode keys,
-/// and owners can be resolved from a pre-computed key hash via
-/// owner_slot() — the sharded backend routes on interned ids and hashes
-/// each key string exactly once. Nodes are also assigned a dense `slot`
-/// in registration order, so placement-by-index callers (the shard map,
-/// the partitioned directory) skip the name round trip entirely.
+/// Every vnode hash is computed once at add_node() and cached, so
+/// remove_node() never re-derives vnode keys. Nodes are assigned a dense
+/// `slot` in registration order, and owner_slot() resolves a
+/// pre-computed key hash straight to that slot: Directory registers its
+/// servers in index order, so the slot IS the server index and placement
+/// skips the name round trip entirely.
 class ConsistentHashRing {
  public:
   explicit ConsistentHashRing(int vnodes_per_node = 64)

@@ -156,7 +156,7 @@ class RuleEngine {
     TopicBus::SubId sub{};
     // Topic → series memo: series registrations are permanent, so once a
     // topic resolved, re-triggering samples skip the string-keyed find()
-    // (the hot-path audit in DESIGN.md §4g). A filter matching several
+    // (DESIGN.md §4f item 1). A filter matching several
     // topics keeps the newest; alternating topics degrade to find().
     std::string memo_topic;
     SeriesId memo_ref = kInvalidSeries;

@@ -56,11 +56,6 @@ struct TimeSeriesStats {
   std::uint64_t downsamples = 0;   // downsample() calls
   std::uint64_t rollup_hits = 0;   // chunks answered from their rollup
   std::uint64_t chunk_scans = 0;   // chunks that needed a raw point scan
-  /// Writes through the string-keyed append shim, which interns per call.
-  /// Hot ingest paths (core::System's measurement handler, batched bulk
-  /// appends) resolve a SeriesId once and must keep this cold — tests
-  /// assert it stays 0 across System ingest bursts.
-  std::uint64_t string_appends = 0;
 };
 
 class TimeSeriesStore {
@@ -121,11 +116,8 @@ class TimeSeriesStore {
     }
   }
 
-  // ---- string shims (seed-store API, preserved) ---------------------
-  void append(const std::string& series, sim::Time at, double value) {
-    ++stats_.string_appends;  // hot callers must pre-intern (see stats)
-    append(intern(series), at, value);
-  }
+  // ---- string-keyed read shims (seed-store API, preserved) ----------
+  // Writes have no string shim: callers intern() once and append by id.
   [[nodiscard]] std::optional<Point> latest(const std::string& series) const {
     return latest(find(series));
   }

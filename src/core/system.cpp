@@ -44,8 +44,6 @@ System::System(sim::Scheduler& sched, std::uint64_t seed, SystemConfig cfg)
                      &ts.rollup_hits, this);
     m.attach_counter("backend", "store_chunk_scans", obs::kWorldNode,
                      &ts.chunk_scans, this);
-    m.attach_counter("backend", "store_string_appends", obs::kWorldNode,
-                     &ts.string_appends, this);
     const backend::BusStats& bs = bus_.stats();
     m.attach_counter("backend", "bus_exact_hits", obs::kWorldNode,
                      &bs.exact_hits, this);
@@ -58,10 +56,9 @@ System::System(sim::Scheduler& sched, std::uint64_t seed, SystemConfig cfg)
                     {0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 1024}));
   }
   // Everything published on measurement topics lands in storage. The
-  // payload is parsed and appended via the interned-id hot path; the
-  // (topic, id) memo keeps the string-keyed shim cold across a burst on
-  // one topic — the hot-path audit of DESIGN.md §4g:
-  // TimeSeriesStats::string_appends stays 0 across System ingest.
+  // payload is parsed and appended by SeriesId; the (topic, id) memo
+  // makes a burst on one topic cost one intern() hash, not one per
+  // sample.
   bus_.subscribe("+/+/#", [this, memo_topic = std::string(),
                            memo_id = backend::kInvalidSeries](
                               const std::string& topic, BytesView p) mutable {

@@ -3,21 +3,18 @@
 // The interned/chunked TimeSeriesStore and the trie-indexed TopicBus
 // promise *observably identical* behavior to the seed implementations
 // (linear-scan map-based store and bus). These tests hold them to it:
-// the seed implementations are embedded verbatim as reference oracles
-// and driven differentially with randomized workloads, alongside
-// directed coverage of the re-entrancy contract, topic-matching edge
-// cases, retention boundaries, the batched entry points, window rules,
-// and the System-level wiring.
+// the seed implementations (testing/backend_oracle.hpp) serve as
+// reference oracles driven differentially with randomized workloads,
+// alongside directed coverage of the re-entrancy contract, topic-matching
+// edge cases, retention boundaries, the batched entry points, window
+// rules, and the System-level wiring.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <deque>
 #include <memory>
-#include <map>
-#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -29,127 +26,14 @@
 #include "core/system.hpp"
 #include "obs/context.hpp"
 #include "sim/scheduler.hpp"
+#include "testing/backend_oracle.hpp"
 
 namespace iiot::backend {
 namespace {
 
-// Tiny deterministic generator so the differential workloads are
-// reproducible without dragging in the stack's Rng.
-struct Lcg {
-  std::uint64_t s;
-  std::uint64_t next() {
-    s = s * 6364136223846793005ULL + 1442695040888963407ULL;
-    return s >> 33;
-  }
-  std::uint64_t below(std::uint64_t n) { return next() % n; }
-};
-
-// ---- reference oracles (the seed implementations, verbatim) -----------
-
-// Pre-interning, pre-chunking store: map of deques, linear scans.
-class RefStore {
- public:
-  explicit RefStore(RetentionPolicy retention = {})
-      : retention_(retention) {}
-
-  void append(const std::string& series, sim::Time at, double value) {
-    auto& log = series_[series];
-    if (!log.empty() && at < log.back().at) at = log.back().at;
-    log.push_back(Point{at, value});
-    enforce_retention(log, at);
-  }
-
-  [[nodiscard]] std::optional<Point> latest(
-      const std::string& series) const {
-    auto it = series_.find(series);
-    if (it == series_.end() || it->second.empty()) return std::nullopt;
-    return it->second.back();
-  }
-
-  [[nodiscard]] std::vector<Point> query(const std::string& series,
-                                         sim::Time from,
-                                         sim::Time to) const {
-    std::vector<Point> out;
-    auto it = series_.find(series);
-    if (it == series_.end()) return out;
-    for (const Point& p : it->second) {
-      if (p.at >= from && p.at <= to) out.push_back(p);
-    }
-    return out;
-  }
-
-  [[nodiscard]] std::vector<Point> downsample(const std::string& series,
-                                              sim::Time from, sim::Time to,
-                                              sim::Duration bucket) const {
-    std::vector<Point> out;
-    if (bucket == 0) return out;
-    auto raw = query(series, from, to);
-    std::size_t i = 0;
-    while (i < raw.size()) {
-      const sim::Time start = raw[i].at - (raw[i].at - from) % bucket;
-      double sum = 0;
-      std::size_t n = 0;
-      while (i < raw.size() && raw[i].at < start + bucket) {
-        sum += raw[i].value;
-        ++n;
-        ++i;
-      }
-      out.push_back(Point{start, sum / static_cast<double>(n)});
-    }
-    return out;
-  }
-
-  [[nodiscard]] std::size_t points(const std::string& series) const {
-    auto it = series_.find(series);
-    return it == series_.end() ? 0 : it->second.size();
-  }
-
- private:
-  void enforce_retention(std::deque<Point>& log, sim::Time now) {
-    if (retention_.max_age > 0) {
-      while (!log.empty() && log.front().at + retention_.max_age < now) {
-        log.pop_front();
-      }
-    }
-    if (retention_.max_points > 0) {
-      while (log.size() > retention_.max_points) log.pop_front();
-    }
-  }
-
-  RetentionPolicy retention_;
-  std::map<std::string, std::deque<Point>> series_;
-};
-
-// Pre-trie bus: ordered map of subscriptions, linear topic_matches scan.
-// (Its iteration order — ascending SubId — is the delivery-order oracle.)
-class RefBus {
- public:
-  using SubId = std::uint64_t;
-  using Handler = TopicBus::Handler;
-
-  SubId subscribe(std::string filter, Handler handler) {
-    const SubId id = next_id_++;
-    subs_[id] = Sub{std::move(filter), std::move(handler)};
-    return id;
-  }
-  void unsubscribe(SubId id) { subs_.erase(id); }
-  void publish(const std::string& topic, const std::string& payload) {
-    const BytesView view(
-        reinterpret_cast<const std::uint8_t*>(payload.data()),
-        payload.size());
-    for (auto& [id, sub] : subs_) {
-      if (topic_matches(sub.filter, topic)) sub.handler(topic, view);
-    }
-  }
-
- private:
-  struct Sub {
-    std::string filter;
-    Handler handler;
-  };
-  std::map<SubId, Sub> subs_;
-  SubId next_id_ = 1;
-};
+using iiot::testing::Lcg;
+using iiot::testing::RefBus;
+using iiot::testing::RefStore;
 
 void expect_same_points(const std::vector<Point>& got,
                         const std::vector<Point>& want) {
@@ -508,7 +392,7 @@ TEST(TimeSeriesDifferential, RandomAppendsMatchSeedStoreUnderRetention) {
     // clamp identically.
     const sim::Time at = rng.below(10) == 0 ? t / 2 : t;
     const double v = static_cast<double>(rng.below(1000));
-    fast.append(s, at, v);
+    fast.append(fast.intern(s), at, v);
     ref.append(s, at, v);
 
     if (i % 500 == 499) {
@@ -541,7 +425,7 @@ TEST(TimeSeriesDifferential, AgeRetentionMatchesSeedStore) {
   for (int i = 0; i < 3000; ++i) {
     t += rng.below(8);
     const double v = static_cast<double>(rng.below(100));
-    fast.append("s", t, v);
+    fast.append(fast.intern("s"), t, v);
     ref.append("s", t, v);
   }
   EXPECT_EQ(fast.points("s"), ref.points("s"));
@@ -556,7 +440,7 @@ TEST(TimeSeriesDifferential, DownsampleRollupPathMatchesSeedStore) {
   for (int i = 0; i < 10000; ++i) {
     t += 1 + rng.below(5);
     const double v = static_cast<double>(rng.below(100));
-    fast.append("s", t, v);
+    fast.append(fast.intern("s"), t, v);
     ref.append("s", t, v);
   }
   // Big buckets swallow whole chunks (rollup path); odd buckets and
@@ -576,10 +460,10 @@ TEST(TimeSeriesDifferential, DownsampleRollupPathMatchesSeedStore) {
 
 TEST(TimeSeriesRetention, PointExactlyMaxAgeOldSurvives) {
   TimeSeriesStore store({/*max_age=*/10, /*max_points=*/0});
-  store.append("s", 0, 1.0);
-  store.append("s", 10, 2.0);  // age of first == max_age: kept
+  store.append(store.intern("s"), 0, 1.0);
+  store.append(store.intern("s"), 10, 2.0);  // age of first == max_age: kept
   EXPECT_EQ(store.points("s"), 2u);
-  store.append("s", 11, 3.0);  // now age 11 > max_age: evicted
+  store.append(store.intern("s"), 11, 3.0);  // now age 11 > max_age: evicted
   EXPECT_EQ(store.points("s"), 2u);
   EXPECT_EQ(store.query("s", 0, 100).front().at, 10u);
   EXPECT_EQ(store.stats().evicted, 1u);
@@ -587,12 +471,13 @@ TEST(TimeSeriesRetention, PointExactlyMaxAgeOldSurvives) {
 
 TEST(TimeSeriesRetention, MaxPointsExactlyAtLimit) {
   TimeSeriesStore store({/*max_age=*/0, /*max_points=*/5});
+  const SeriesId s = store.intern("s");
   for (int i = 0; i < 5; ++i) {
-    store.append("s", static_cast<sim::Time>(i), static_cast<double>(i));
+    store.append(s, static_cast<sim::Time>(i), static_cast<double>(i));
   }
   EXPECT_EQ(store.points("s"), 5u);
   EXPECT_EQ(store.stats().evicted, 0u);
-  store.append("s", 5, 5.0);
+  store.append(s, 5, 5.0);
   EXPECT_EQ(store.points("s"), 5u);
   EXPECT_EQ(store.query("s", 0, 100).front().at, 1u);
   EXPECT_EQ(store.stats().evicted, 1u);
@@ -600,15 +485,15 @@ TEST(TimeSeriesRetention, MaxPointsExactlyAtLimit) {
 
 TEST(TimeSeriesRetention, OutOfOrderClampInteractsWithAgeRetention) {
   TimeSeriesStore store({/*max_age=*/10, /*max_points=*/0});
-  store.append("s", 100, 1.0);
+  store.append(store.intern("s"), 100, 1.0);
   // Out-of-order: clamped to t=100, so it cannot retro-trigger eviction
   // of the first point (now stays 100).
-  store.append("s", 50, 2.0);
+  store.append(store.intern("s"), 50, 2.0);
   EXPECT_EQ(store.points("s"), 2u);
   ASSERT_TRUE(store.latest("s").has_value());
   EXPECT_EQ(store.latest("s")->at, 100u);
   // A genuinely newer point ages both out (both sit at t=100).
-  store.append("s", 200, 3.0);
+  store.append(store.intern("s"), 200, 3.0);
   EXPECT_EQ(store.points("s"), 1u);
   EXPECT_EQ(store.stats().evicted, 2u);
 }
@@ -727,7 +612,7 @@ struct WindowRig {
     // is in the store before any rule sees the publish.
     bus.subscribe("plant/#", [this](const std::string& topic, BytesView p) {
       const std::string s = iiot::to_string(p);
-      store.append(topic, now, std::strtod(s.c_str(), nullptr));
+      store.append(store.intern(topic), now, std::strtod(s.c_str(), nullptr));
     });
   }
   void sample(const std::string& topic, double v) {
@@ -843,16 +728,12 @@ TEST(SystemBackend, IngestBatchLandsInStore) {
   EXPECT_DOUBLE_EQ(system.store().latest("site/1/3303")->value, 3.5);
   EXPECT_EQ(system.bus().stats().batches, 1u);
   EXPECT_EQ(system.bus().published(), 3u);
-}
-
-TEST(SystemBackend, IngestKeepsStringShimCold) {
-  sim::Scheduler sched;
-  core::System system(sched, 1);
-  const double vals[] = {4.0, 5.0};
-  system.ingest("site/1/3303", vals);
+  // A burst on a second topic must not land in the first topic's series
+  // (the handler memoizes the last topic's SeriesId).
   system.ingest("site/2/3303", vals);
-  EXPECT_EQ(system.store().total_appended(), 4u);
-  EXPECT_EQ(system.store().stats().string_appends, 0u);
+  EXPECT_EQ(system.store().points("site/1/3303"), 3u);
+  EXPECT_EQ(system.store().points("site/2/3303"), 3u);
+  EXPECT_EQ(system.store().total_appended(), 6u);
 }
 
 TEST(SystemBackend, MetricsExposeFastPathCounters) {
@@ -874,8 +755,7 @@ TEST(SystemBackend, MetricsExposeFastPathCounters) {
         "backend.store_appended", "backend.store_evicted",
         "backend.store_rollup_hits", "backend.store_chunk_scans",
         "backend.bus_exact_hits", "backend.bus_trie_nodes",
-        "backend.bus_deferred_unsubs", "backend.bus_fanout",
-        "backend.store_string_appends"}) {
+        "backend.bus_deferred_unsubs", "backend.bus_fanout"}) {
     EXPECT_TRUE(names.count(want)) << "missing metric " << want;
   }
 }
