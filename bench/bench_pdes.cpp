@@ -14,6 +14,12 @@
 // has >= 4 hardware threads (CI runners); informational otherwise.
 // The digest-identity check is enforced everywhere, at every lane count.
 //
+// With --compare, the serial events/sec of each size must reach
+// --min-ratio of the baseline's, and the 10k world digest must equal the
+// baseline's digest_10k. Every run line and the console table also carry
+// the engine counters (sim::ParallelStats: windows executed, idle-skip
+// steps, horizon snapshots tried and held) of the fastest rep.
+//
 // Results append to BENCH_pdes.json:
 //
 //   ./bench_pdes [label] [output.json] [--reps=N]
@@ -65,7 +71,8 @@ struct RunResult {
   double wall = 0.0;
   std::uint64_t digest = 0;
   std::uint64_t events = 0;
-  std::string consistency;  // empty = clean
+  sim::ParallelStats engine;  // lane-timing dependent, not compared
+  std::string consistency;    // empty = clean
 };
 
 RunResult run_config(const SizeCfg& size, unsigned lanes) {
@@ -109,12 +116,15 @@ RunResult run_config(const SizeCfg& size, unsigned lanes) {
   r.consistency = world.check_consistency();
   r.digest = world.digest();
   r.events = world.executed_events();
+  r.engine = world.pdes_stats();
   world.stop();
   return r;
 }
 
-/// Gated by --compare: serial events/sec of each world size.
+/// Gated by --compare: serial events/sec of each world size, and the
+/// 10k world digest, which must equal the baseline's bit for bit.
 constexpr const char* kGated[] = {"eps_2k_l1", "eps_5k_l1", "eps_10k_l1"};
+constexpr const char* kGatedDigest = "digest_10k";
 
 }  // namespace
 
@@ -224,6 +234,21 @@ int main(int argc, char** argv) {
     std::printf("  x%.2f\n", scaling4[s]);
   }
 
+  std::printf("\nengine counters (fastest rep):\n%-6s %5s %10s %12s %10s "
+              "%10s\n",
+              "size", "lanes", "windows", "skip_steps", "snapshots", "held");
+  for (std::size_t s = 0; s < nsizes; ++s) {
+    for (std::size_t c = 0; c < lane_configs.size(); ++c) {
+      const sim::ParallelStats& e = best[s][c].engine;
+      std::printf("%-6s %5u %10llu %12llu %10llu %10llu\n", kSizes[s].name,
+                  lane_configs[c],
+                  static_cast<unsigned long long>(e.windows),
+                  static_cast<unsigned long long>(e.skip_steps),
+                  static_cast<unsigned long long>(e.snapshots),
+                  static_cast<unsigned long long>(e.snapshots_held));
+    }
+  }
+
   const std::size_t largest = nsizes - 1;
   const bool enforce = cores >= 4;
   bool scaling_ok = true;
@@ -253,7 +278,7 @@ int main(int argc, char** argv) {
       "\"wall_10k_l1\": %.3f, \"wall_10k_l4\": %.3f, "
       "\"scaling_2k_4\": %.2f, \"scaling_5k_4\": %.2f, "
       "\"scaling_10k_4\": %.2f, \"digest_10k\": %llu, "
-      "\"scaling_enforced\": %d, \"reps\": %llu}",
+      "\"scaling_enforced\": %d, \"reps\": %llu",
       label.c_str(), cores, static_cast<long long>(kMeasure / 1'000'000),
       static_cast<double>(best[0][0].events) / best[0][0].wall,
       static_cast<double>(best[1][0].events) / best[1][0].wall,
@@ -263,12 +288,29 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(best[largest][0].digest),
       enforce ? 1 : 0, static_cast<unsigned long long>(reps));
   run << buf;
+  // Engine counters of the 10k world, serial and at 4 lanes.
+  for (std::size_t c : {std::size_t{0}, std::size_t{2}}) {
+    const sim::ParallelStats& e = best[largest][c].engine;
+    const unsigned l = lane_configs[c];
+    std::snprintf(buf, sizeof buf,
+                  ", \"windows_10k_l%u\": %llu, \"skips_10k_l%u\": %llu, "
+                  "\"snapshots_10k_l%u\": %llu, \"held_10k_l%u\": %llu",
+                  l, static_cast<unsigned long long>(e.windows), l,
+                  static_cast<unsigned long long>(e.skip_steps), l,
+                  static_cast<unsigned long long>(e.snapshots), l,
+                  static_cast<unsigned long long>(e.snapshots_held));
+    run << buf;
+  }
+  run << "}";
   bench::append_bench_run(out_path, "bench_pdes", run.str());
   std::printf("\nwrote %s (label \"%s\")\n", out_path.c_str(),
               label.c_str());
 
-  const bool gate_ok =
+  const bool ratio_ok =
       base_line.empty() ||
       bench::ratio_gate(base_line, run.str(), kGated, min_ratio);
-  return identical && scaling_ok && gate_ok ? 0 : 1;
+  const bool digest_ok =
+      base_line.empty() ||
+      bench::digest_gate(base_line, run.str(), kGatedDigest);
+  return identical && scaling_ok && ratio_ok && digest_ok ? 0 : 1;
 }

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -160,6 +161,36 @@ inline bool bench_field(const std::string& run_line, const std::string& key,
   char* end = nullptr;
   out = std::strtod(run_line.c_str() + pos + needle.size(), &end);
   return end != nullptr && end != run_line.c_str() + pos + needle.size();
+}
+
+/// Extracts `"key": <unsigned integer>` from a run line exactly: digests
+/// exceed a double's 53-bit mantissa, so bench_field would round them.
+inline bool bench_field_u64(const std::string& run_line,
+                            const std::string& key, std::uint64_t& out) {
+  const std::string needle = "\"" + key + "\":";
+  const auto pos = run_line.find(needle);
+  if (pos == std::string::npos) return false;
+  const char* begin = run_line.c_str() + pos + needle.size();
+  while (*begin == ' ') ++begin;
+  if (*begin < '0' || *begin > '9') return false;
+  char* end = nullptr;
+  out = std::strtoull(begin, &end, 10);
+  return end != begin;
+}
+
+/// Behavioural gate: `key` (a digest) must be present in both lines and
+/// equal bit for bit. A key missing from either line fails the gate.
+inline bool digest_gate(const std::string& base_line,
+                        const std::string& run_line, const char* key) {
+  std::uint64_t base = 0;
+  std::uint64_t cur = 0;
+  const bool have_base = bench_field_u64(base_line, key, base);
+  const bool have_cur = bench_field_u64(run_line, key, cur);
+  const bool ok = have_base && have_cur && base == cur;
+  std::printf("\ndigest gate: %s %s (run %llu, baseline %s)\n", key,
+              ok ? "OK" : "FAILED", static_cast<unsigned long long>(cur),
+              have_base ? std::to_string(base).c_str() : "MISSING");
+  return ok;
 }
 
 /// The `--compare` baseline's newest run line. When `path` is missing or

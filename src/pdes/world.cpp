@@ -157,6 +157,10 @@ void IslandWorld::run_until(sim::Time t) { par_->run_until(t); }
 
 unsigned IslandWorld::lanes() const { return par_->lanes(); }
 
+const sim::ParallelStats& IslandWorld::pdes_stats() const {
+  return par_->stats();
+}
+
 sim::Time IslandWorld::now() const { return isles_[0]->sched.now(); }
 
 core::MeshNode& IslandWorld::node(std::size_t index) {

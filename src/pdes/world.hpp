@@ -82,6 +82,8 @@ class IslandWorld {
   [[nodiscard]] const radio::IslandPlan& plan() const { return plan_; }
   [[nodiscard]] std::size_t islands() const { return isles_.size(); }
   [[nodiscard]] unsigned lanes() const;
+  /// Parallel-engine work counters (lane-timing dependent, not digested).
+  [[nodiscard]] const sim::ParallelStats& pdes_stats() const;
   [[nodiscard]] std::size_t size() const { return cfg_.nodes(); }
   [[nodiscard]] sim::Time now() const;
 

@@ -4,7 +4,10 @@
 // count, with lanes == 1 as the serial oracle.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -224,6 +227,171 @@ TEST(ParallelScheduler, IslandExceptionPropagates) {
   EXPECT_THROW(par.run_until(60'000'000), std::runtime_error);
 }
 
+TEST(ParallelScheduler, IdleIslandsLeapToNextEvent) {
+  // Four islands on two lanes, silent except for one event each at 10 s;
+  // each depends on both islands of the other lane. Without the global
+  // horizon every idle island crawls one neighbour round (about one
+  // window) per skip: ~10,000 skips each. (With dependencies inside a
+  // lane too, a lane preempted mid-window would leave the other lane's
+  // snapshots failing while its two islands crawl in lockstep.)
+  constexpr std::size_t kIslands = 4;
+  std::vector<std::unique_ptr<Scheduler>> scheds;
+  std::atomic<int> fired{0};
+  std::vector<ParallelIsland> islands(kIslands);
+  for (std::size_t k = 0; k < kIslands; ++k) {
+    scheds.push_back(std::make_unique<Scheduler>());
+    scheds[k]->schedule_at(10_s, [&] { ++fired; });
+    islands[k].sched = scheds[k].get();
+    islands[k].apply = [](Time) {};
+    islands[k].next_input = [] { return kTimeNever; };
+    const std::size_t other = k < 2 ? 2 : 0;  // lanes own {0,1}, {2,3}
+    islands[k].deps = {other, other + 1};
+  }
+  ParallelScheduler par(1000, std::move(islands), 2);
+  par.run_until(20_s);
+  EXPECT_EQ(fired.load(), 4);
+  for (const auto& s : scheds) EXPECT_EQ(s->now(), 20_s);
+  const ParallelStats& st = par.stats();
+  EXPECT_EQ(st.windows, kIslands);
+  EXPECT_LT(st.skip_steps, 4 * kIslands);
+  EXPECT_GE(st.snapshots_held, 1u);
+  EXPECT_LE(st.snapshots_held, st.snapshots);
+}
+
+TEST(ParallelScheduler, TailWaitsForTheLastFullWindow) {
+  // Island 1 works in the last full window (slowly) and posts input that
+  // takes effect at the boundary the tail starts on. Idle island 0, on
+  // the other lane, reaches that window at once from the horizon, but
+  // its tail must still wait for the input and apply it.
+  constexpr Time kDeadline = 10'000'500;  // window 9999 is the last full
+  radio::Interchange ix(2);
+  Scheduler idle;
+  Scheduler busy;
+  busy.schedule_at(9'999'500, [&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    radio::CellTx m;
+    m.b1 = 10'000'000;
+    m.b2 = m.b1 + 1000;
+    ix.post(0, std::move(m));
+  });
+  std::vector<Time> applied_at;
+  std::vector<ParallelIsland> islands(2);
+  islands[0].sched = &idle;
+  islands[0].apply = [&](Time t) {
+    for (std::size_t n = ix.take_until(0, t).size(); n > 0; --n) {
+      applied_at.push_back(t);
+    }
+  };
+  islands[0].next_input = [&] { return ix.next_time(0); };
+  islands[0].deps = {1};
+  islands[1].sched = &busy;
+  islands[1].apply = [](Time) {};
+  islands[1].next_input = [] { return kTimeNever; };
+  islands[1].deps = {0};
+  ParallelScheduler par(1000, std::move(islands), 2);
+  par.run_until(kDeadline);
+  EXPECT_EQ(applied_at, std::vector<Time>{10'000'000});
+  EXPECT_EQ(idle.now(), kDeadline);
+}
+
+/// A chain of islands that answer each other through a radio::Interchange.
+/// Every applied input is logged as (window, source island, sequence) and,
+/// while the island's reply budget lasts, answered after a gap: no gap at
+/// all, one window, or several hundred idle windows — so replies cross
+/// lanes both right away and after long leaps over idle time.
+class EchoChain {
+ public:
+  static constexpr Duration kWindow = 1000;
+
+  struct Entry {
+    std::int64_t window;
+    std::uint32_t src;
+    std::uint64_t seq;
+    bool operator==(const Entry&) const = default;
+  };
+
+  EchoChain(std::size_t n, unsigned lanes) : ix_(n) {
+    std::vector<ParallelIsland> islands(n);
+    for (std::size_t k = 0; k < n; ++k) {
+      nodes_.push_back(std::make_unique<Node>());
+      islands[k].sched = &nodes_[k]->sched;
+      islands[k].apply = [this, k](Time boundary) { apply(k, boundary); };
+      islands[k].next_input = [this, k] { return ix_.next_time(k); };
+      if (k > 0) islands[k].deps.push_back(k - 1);
+      if (k + 1 < n) islands[k].deps.push_back(k + 1);
+    }
+    // The two chain ends open the exchange with the middle.
+    nodes_.front()->sched.schedule_at(500, [this] { post(0, 1); });
+    nodes_.back()->sched.schedule_at(1'500, [this, n] { post(n - 1, n - 2); });
+    par_ = std::make_unique<ParallelScheduler>(kWindow, std::move(islands),
+                                               lanes);
+  }
+  EchoChain(const EchoChain&) = delete;  // callbacks hold `this`
+  EchoChain& operator=(const EchoChain&) = delete;
+
+  void run_until(Time t) { par_->run_until(t); }
+  [[nodiscard]] const std::vector<Entry>& log(std::size_t k) const {
+    return nodes_[k]->log;
+  }
+
+ private:
+  static constexpr int kReplyBudget = 30;
+
+  struct Node {
+    Scheduler sched;
+    std::uint64_t seq = 0;
+    int replies = 0;
+    std::vector<Entry> log;
+  };
+
+  void post(std::size_t from, std::size_t to) {
+    Node& me = *nodes_[from];
+    radio::CellTx m;
+    m.src_island = static_cast<std::uint32_t>(from);
+    m.seq = me.seq++;
+    m.b1 = (me.sched.now() / kWindow + 1) * kWindow;  // as Medium does
+    m.b2 = m.b1 + kWindow;
+    ix_.post(to, std::move(m));
+  }
+
+  void apply(std::size_t k, Time boundary) {
+    Node& me = *nodes_[k];
+    for (const radio::CellTx& m : ix_.take_until(k, boundary)) {
+      me.log.push_back(Entry{static_cast<std::int64_t>(boundary / kWindow),
+                             m.src_island, m.seq});
+      if (me.replies++ >= kReplyBudget) continue;
+      const std::uint64_t mix = m.seq * 7919 + k * 31 + m.src_island;
+      const Duration gap = mix % 3 == 0 ? (mix % 2) * kWindow
+                                        : (300 + mix % 400) * kWindow;
+      const std::size_t to = m.src_island;
+      me.sched.schedule_at(boundary + gap + mix % 997,
+                           [this, k, to] { post(k, to); });
+    }
+  }
+
+  radio::Interchange ix_;
+  std::vector<std::unique_ptr<Node>> nodes_;
+  std::unique_ptr<ParallelScheduler> par_;
+};
+
+std::vector<std::vector<EchoChain::Entry>> run_echo_chain(unsigned lanes) {
+  EchoChain chain(3, lanes);
+  chain.run_until(7'000'499);  // ends mid-window: exercises the tail step
+  chain.run_until(13_s);
+  chain.run_until(40_s);
+  return {chain.log(0), chain.log(1), chain.log(2)};
+}
+
+TEST(ParallelScheduler, LeapKeepsCrossLaneEchoes) {
+  // One island per lane: every reply crosses lanes, and the horizon must
+  // never let an island leap past an echo of work it caused elsewhere.
+  const auto serial = run_echo_chain(1);
+  ASSERT_GT(serial[1].size(), 30u);  // the middle hears both ends
+  for (int rep = 0; rep < 200; ++rep) {
+    ASSERT_EQ(run_echo_chain(3), serial) << "repetition " << rep;
+  }
+}
+
 // ------------------------------------------------- island world physics
 
 IslandWorldConfig small_world(unsigned lanes) {
@@ -294,8 +462,18 @@ TEST(IslandWorld, DeliversUpwardDataAcrossIslands) {
 TEST(IslandWorld, LaneCountIsInvisible) {
   const std::uint64_t serial = run_exercise(small_world(1));
   EXPECT_EQ(run_exercise(small_world(2)), serial);
+  EXPECT_EQ(run_exercise(small_world(3)), serial);  // lanes 1, 2 split a row
   EXPECT_EQ(run_exercise(small_world(4)), serial);
   EXPECT_EQ(run_exercise(small_world(0)), serial);  // hardware lanes
+  // 3x3 islands on 2 lanes: each lane block ends inside an island row.
+  IslandWorldConfig wide = small_world(1);
+  wide.islands_x = 3;
+  wide.islands_y = 3;
+  const std::uint64_t wide_serial = run_exercise(wide);
+  wide.lanes = 2;
+  EXPECT_EQ(run_exercise(wide), wide_serial);
+  wide.lanes = 3;
+  EXPECT_EQ(run_exercise(wide), wide_serial);
 }
 
 TEST(IslandWorld, RepeatRunsAreDeterministic) {
