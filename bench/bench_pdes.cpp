@@ -18,7 +18,8 @@
 // --min-ratio of the baseline's, and the 10k world digest must equal the
 // baseline's digest_10k. Every run line and the console table also carry
 // the engine counters (sim::ParallelStats: windows executed, idle-skip
-// steps, horizon snapshots tried and held) of the fastest rep.
+// steps, horizon snapshots tried and held) of the fastest rep and, per
+// size, the cross-island fan-out (ghosts posted per transmission).
 //
 // Results append to BENCH_pdes.json:
 //
@@ -71,6 +72,7 @@ struct RunResult {
   double wall = 0.0;
   std::uint64_t digest = 0;
   std::uint64_t events = 0;
+  double ghosts_per_tx = 0.0;  // cross_island_tx / transmissions
   sim::ParallelStats engine;  // lane-timing dependent, not compared
   std::string consistency;    // empty = clean
 };
@@ -116,6 +118,11 @@ RunResult run_config(const SizeCfg& size, unsigned lanes) {
   r.consistency = world.check_consistency();
   r.digest = world.digest();
   r.events = world.executed_events();
+  const radio::MediumStats ms = world.medium_stats();
+  r.ghosts_per_tx = ms.transmissions == 0
+                        ? 0.0
+                        : static_cast<double>(ms.cross_island_tx) /
+                              static_cast<double>(ms.transmissions);
   r.engine = world.pdes_stats();
   world.stop();
   return r;
@@ -218,15 +225,16 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::printf("\n%-6s %8s %10s", "size", "nodes", "events");
+  std::printf("\n%-6s %8s %10s %9s", "size", "nodes", "events", "ghosts/tx");
   for (unsigned l : lane_configs) std::printf("  lanes=%-2u wall", l);
   std::printf("  speedup@4\n");
   std::vector<double> scaling4(nsizes, 0.0);
   for (std::size_t s = 0; s < nsizes; ++s) {
     const std::size_t nodes = kSizes[s].islands_x * kSizes[s].islands_y *
                               kSizes[s].side * kSizes[s].side;
-    std::printf("%-6s %8zu %10llu", kSizes[s].name, nodes,
-                static_cast<unsigned long long>(best[s][0].events));
+    std::printf("%-6s %8zu %10llu %9.3f", kSizes[s].name, nodes,
+                static_cast<unsigned long long>(best[s][0].events),
+                best[s][0].ghosts_per_tx);
     for (std::size_t c = 0; c < lane_configs.size(); ++c) {
       std::printf("  %11.3fs", best[s][c].wall);
     }
@@ -288,6 +296,13 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(best[largest][0].digest),
       enforce ? 1 : 0, static_cast<unsigned long long>(reps));
   run << buf;
+  // Cross-island fan-out (ghosts posted per transmission), ungated, so a
+  // fan-out regression shows on every run line.
+  for (std::size_t s = 0; s < nsizes; ++s) {
+    std::snprintf(buf, sizeof buf, ", \"ghosts_per_tx_%s\": %.4f",
+                  kSizes[s].name, best[s][0].ghosts_per_tx);
+    run << buf;
+  }
   // Engine counters of the 10k world, serial and at 4 lanes.
   for (std::size_t c : {std::size_t{0}, std::size_t{2}}) {
     const sim::ParallelStats& e = best[largest][c].engine;

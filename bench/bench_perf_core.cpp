@@ -27,8 +27,10 @@
 //                runs are cleanest serial; >1 trades noise for speed)
 // --compare=F    perf-regression gate: read the newest run line of F and
 //                exit 1 if any events/sec metric drops below
-//                min-ratio × baseline (default 0.8, i.e. a >20% drop);
-//                exit 3 before running if F is missing or has no run line
+//                min-ratio × baseline (default 0.8, i.e. a >20% drop) or
+//                any net*_transmissions/deliveries/collisions counter
+//                differs from the baseline's at all; exit 3 before running
+//                if F is missing or has no run line
 // --min-ratio=R  override the compare threshold
 //
 // Pass a label like "seed" or "optimized"; default "current".
@@ -256,21 +258,14 @@ constexpr const char* kGated[] = {
     "net200_events_per_sec", "net500_events_per_sec",
 };
 
-/// Counters are reported, not gated: they may legitimately drift across
-/// compiler/libm versions (within-run determinism is gated by measure()).
-void note_counter_drift(const std::string& base_line,
-                        const std::string& run_line) {
-  for (const char* key : {"net200_transmissions", "net200_collisions"}) {
-    double base = 0;
-    double cur = 0;
-    if (iiot::bench::bench_field(base_line, key, base) &&
-        iiot::bench::bench_field(run_line, key, cur) && base != cur) {
-      std::printf("  note: %s drifted from baseline (%.0f vs %.0f) — "
-                  "toolchain change?\n",
-                  key, cur, base);
-    }
-  }
-}
+/// Gated exactly by --compare: the mesh counters are a behavioural
+/// fingerprint of the radio/MAC/RPL stack. CI compares on gcc only, since
+/// libm differences across toolchains may legitimately move them.
+constexpr const char* kGatedCounters[] = {
+    "net50_transmissions",  "net50_deliveries",  "net50_collisions",
+    "net200_transmissions", "net200_deliveries", "net200_collisions",
+    "net500_transmissions", "net500_deliveries", "net500_collisions",
+};
 
 }  // namespace
 
@@ -369,7 +364,9 @@ int main(int argc, char** argv) {
   if (!base_line.empty()) {
     gate_ok =
         iiot::bench::ratio_gate(base_line, run.str(), kGated, min_ratio);
-    note_counter_drift(base_line, run.str());
+    for (const char* key : kGatedCounters) {
+      gate_ok = iiot::bench::digest_gate(base_line, run.str(), key) && gate_ok;
+    }
   }
   if (!deterministic) {
     std::printf("determinism gate: FAILED (counters diverged across reps)\n");

@@ -24,7 +24,9 @@ IslandPlan plan_islands(const std::vector<Position>& pos,
                         const IslandPlanOptions& opt) {
   IslandPlan plan;
   plan.window = opt.window == 0 ? kDefaultIslandWindow : opt.window;
+  plan.id_base = opt.id_base;
   plan.island_of.assign(pos.size(), 0);
+  plan.reach_offsets.assign(pos.size() + 1, 0);
   if (pos.empty()) return plan;
 
   const double range = max_link_range(cfg, opt.margin_db);
@@ -52,10 +54,12 @@ IslandPlan plan_islands(const std::vector<Position>& pos,
     plan.island_of[i] = ids.at(cell_of(pos[i]));
   }
 
-  // Adjacency: geometry proposes (cells within `range` of each other),
-  // an exact link-budget check over the node pairs disposes. The check
-  // uses the same Propagation (same seed) the island mediums run with,
-  // so "adjacent" exactly means "at least one detectable link exists".
+  // Reach: geometry proposes (cells within `range` of each other), an
+  // exact link-budget check over the node pairs disposes. The check uses
+  // the same Propagation (same seed) the island mediums run with, so
+  // "reaches" exactly means "has a link that clears min(sensitivity,
+  // CCA) - margin there". Links are symmetric, so adjacency — the union
+  // of reach — is symmetric too.
   const double floor_dbm =
       std::min(cfg.sensitivity_dbm, cfg.cca_threshold_dbm) - opt.margin_db;
   Propagation prop(cfg, prop_seed);
@@ -63,37 +67,57 @@ IslandPlan plan_islands(const std::vector<Position>& pos,
   for (std::size_t i = 0; i < pos.size(); ++i) {
     members[plan.island_of[i]].push_back(i);
   }
-  const auto reach =
+  const auto cells =
       static_cast<std::int64_t>(std::ceil(range / cell)) + 1;
-  plan.adjacency.assign(plan.count, {});
+  // (node index, island it reaches), one entry per pair.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> links;
+  std::vector<char> b_hears_a;
   for (auto ita = ids.begin(); ita != ids.end(); ++ita) {
     for (auto itb = std::next(ita); itb != ids.end(); ++itb) {
       const auto [ya, xa] = ita->first;
       const auto [yb, xb] = itb->first;
-      if (std::abs(ya - yb) > reach || std::abs(xa - xb) > reach) continue;
+      if (std::abs(ya - yb) > cells || std::abs(xa - xb) > cells) continue;
       const std::uint32_t a = ita->second;
       const std::uint32_t b = itb->second;
-      bool linked = false;
+      b_hears_a.assign(members[b].size(), 0);
       for (std::size_t i : members[a]) {
-        for (std::size_t j : members[b]) {
+        bool a_hears_b = false;
+        for (std::size_t jj = 0; jj < members[b].size(); ++jj) {
+          const std::size_t j = members[b][jj];
           // Ids only key the shadowing draw, which is what we reproduce
           // here; id_base maps position indices onto the world's ids.
           const auto ia = static_cast<NodeId>(opt.id_base + i);
           const auto jb = static_cast<NodeId>(opt.id_base + j);
           if (prop.rx_dbm(ia, pos[i], jb, pos[j]) >= floor_dbm) {
-            linked = true;
-            break;
+            a_hears_b = true;
+            b_hears_a[jj] = 1;
           }
         }
-        if (linked) break;
+        if (a_hears_b) links.emplace_back(static_cast<std::uint32_t>(i), b);
       }
-      if (linked) {
-        plan.adjacency[a].push_back(b);
-        plan.adjacency[b].push_back(a);
+      for (std::size_t jj = 0; jj < members[b].size(); ++jj) {
+        if (b_hears_a[jj] != 0) {
+          links.emplace_back(static_cast<std::uint32_t>(members[b][jj]), a);
+        }
       }
     }
   }
-  for (auto& adj : plan.adjacency) std::sort(adj.begin(), adj.end());
+  std::sort(links.begin(), links.end());
+
+  plan.reach_islands.reserve(links.size());
+  plan.adjacency.assign(plan.count, {});
+  for (const auto& [node, isl] : links) {
+    ++plan.reach_offsets[node + 1];
+    plan.reach_islands.push_back(isl);
+    plan.adjacency[plan.island_of[node]].push_back(isl);
+  }
+  for (std::size_t i = 0; i < pos.size(); ++i) {
+    plan.reach_offsets[i + 1] += plan.reach_offsets[i];
+  }
+  for (auto& adj : plan.adjacency) {
+    std::sort(adj.begin(), adj.end());
+    adj.erase(std::unique(adj.begin(), adj.end()), adj.end());
+  }
   return plan;
 }
 

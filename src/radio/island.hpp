@@ -9,7 +9,8 @@
 //
 // Cross-island transmissions travel as CellTx values through the
 // Interchange: the transmitting island posts an immutable snapshot of
-// the frame at transmission time, the receiving island applies it at the
+// the frame at transmission time to every island the sender reaches
+// (IslandPlan::reach), the receiving island applies it at the
 // next window boundary as a "ghost" transmission — computing path loss,
 // collisions and the SNR coin flip against its own local state (see
 // Medium::apply_remote). Quantization to window boundaries is what gives
@@ -20,6 +21,8 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "common/types.hpp"
@@ -61,8 +64,8 @@ struct IslandPlanOptions {
   /// Grid cell edge in meters; 0 derives it from the propagation config
   /// (the conservative maximum link range, see island.cpp).
   double cell_size = 0.0;
-  /// Extra link-budget headroom (dB) when deciding island adjacency;
-  /// larger margins mark more pairs adjacent (more conservative).
+  /// Extra link-budget headroom (dB) when deciding reach and adjacency;
+  /// larger margins mark more pairs linked (more conservative).
   double margin_db = 0.0;
   /// Cross-island quantization window; 0 → kDefaultWindow.
   sim::Duration window = 0;
@@ -80,18 +83,38 @@ inline constexpr sim::Duration kDefaultIslandWindow = 1000;
 struct IslandPlan {
   std::size_t count = 0;
   sim::Duration window = kDefaultIslandWindow;
+  /// NodeId of node index 0 (IslandPlanOptions::id_base).
+  NodeId id_base = 0;
   /// node index (position order handed to the partitioner) → island.
   std::vector<std::uint32_t> island_of;
   /// island → sorted adjacent islands (excluding self): pairs with at
   /// least one radio link that clears min(sensitivity, CCA) - margin.
+  /// The symmetric union of the member nodes' reach.
   std::vector<std::vector<std::uint32_t>> adjacency;
+  /// Per-node reach, flat (CSR): node index i reaches the sorted islands
+  /// reach_islands[reach_offsets[i] .. reach_offsets[i + 1]) — every
+  /// island other than its own holding a node it has a link to, by the
+  /// same link check as adjacency. A transmission is posted only there.
+  std::vector<std::uint32_t> reach_offsets;
+  std::vector<std::uint32_t> reach_islands;
+
+  /// Islands node index `node` reaches; throws std::out_of_range for an
+  /// index outside the plan.
+  [[nodiscard]] std::span<const std::uint32_t> reach(std::size_t node) const {
+    if (node + 1 >= reach_offsets.size()) {
+      throw std::out_of_range("IslandPlan::reach: node outside the plan");
+    }
+    return std::span<const std::uint32_t>(reach_islands)
+        .subspan(reach_offsets[node],
+                 reach_offsets[node + 1] - reach_offsets[node]);
+  }
 };
 
 /// Grid partitioner: bins positions into square cells of cell_size and
-/// numbers non-empty cells row-major. Adjacency is decided per island
-/// pair by an exact link-budget check (including the deterministic
-/// shadowing draws) over the candidate node pairs geometry cannot rule
-/// out. Pure function of its inputs.
+/// numbers non-empty cells row-major. Reach is decided per node pair by
+/// an exact link-budget check (including the deterministic shadowing
+/// draws) over the candidate pairs geometry cannot rule out; adjacency
+/// is the union of reach. Pure function of its inputs.
 [[nodiscard]] IslandPlan plan_islands(const std::vector<Position>& pos,
                                       const PropagationConfig& cfg,
                                       std::uint64_t prop_seed,

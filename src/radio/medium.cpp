@@ -1,6 +1,7 @@
 #include "radio/medium.hpp"
 
 #include <algorithm>
+#include <span>
 
 #include "radio/island.hpp"
 
@@ -106,14 +107,16 @@ void Medium::begin_tx(Radio& src, Frame f) {
     if (tx.fault.delay > 0) ++stats_.fault_delays;
   }
 
-  // Island gateway: snapshot the (post-fault-hook) frame for adjacent
-  // islands, quantized to the plan's window boundaries. The fault verdict
-  // rides along so drop/dup/delay apply identically at every receiver of
-  // the transmission, local or remote.
+  // Island gateway: snapshot the (post-fault-hook) frame for the islands
+  // this sender reaches, quantized to the plan's window boundaries. Any
+  // other island has no radio above min(sensitivity, CCA): a ghost there
+  // would start no reception, trip no CCA and draw no RNG. The fault
+  // verdict rides along so drop/dup/delay apply identically at every
+  // receiver of the transmission, local or remote.
   if (island_ix_ != nullptr) {
-    const std::vector<std::uint32_t>& adj =
-        island_plan_->adjacency[island_id_];
-    if (!adj.empty()) {
+    const std::span<const std::uint32_t> reach =
+        island_plan_->reach(src.id() - island_plan_->id_base);
+    if (!reach.empty()) {
       const sim::Duration w = island_plan_->window;
       CellTx cell;
       cell.src_island = island_id_;
@@ -127,7 +130,7 @@ void Medium::begin_tx(Radio& src, Frame f) {
       cell.frame.trace = 0;  // traces are per-island; ghosts do not trace
       cell.frame.span = 0;
       cell.fault = tx.fault;
-      for (std::uint32_t dst : adj) {
+      for (std::uint32_t dst : reach) {
         cell.seq = island_seq_++;
         ++stats_.cross_island_tx;
         island_ix_->post(dst, cell);

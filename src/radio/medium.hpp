@@ -51,7 +51,7 @@ struct MediumStats {
   std::uint64_t fault_drops = 0;  // transmissions killed by fault injection
   std::uint64_t fault_dups = 0;   // deliveries duplicated by fault injection
   std::uint64_t fault_delays = 0; // deliveries delayed by fault injection
-  std::uint64_t cross_island_tx = 0;  // CellTx posted to adjacent islands
+  std::uint64_t cross_island_tx = 0;  // CellTx posted to reached islands
   std::uint64_t cross_island_rx = 0;  // CellTx applied as ghost transmissions
 };
 
@@ -122,12 +122,18 @@ class Medium {
   void set_fault_hook(FaultHook h) { fault_hook_ = std::move(h); }
 
   /// Turns this medium into one island of a partitioned world (DESIGN.md
-  /// §4i): every local transmission is additionally posted to the plan's
-  /// adjacent islands as a CellTx snapshot, and apply_remote() replays
-  /// snapshots arriving from them. `ix` and `plan` must outlive the
-  /// medium; `island` is this medium's id in the plan.
+  /// §4i): every local transmission is additionally posted, as a CellTx
+  /// snapshot, to the islands its sender reaches in the plan, and
+  /// apply_remote() replays snapshots arriving from them. `ix` and `plan`
+  /// must outlive the medium; `island` is this medium's id in the plan,
+  /// and every radio attached must be a node of the plan (id - id_base
+  /// is its node index).
   void set_island_gateway(Interchange* ix, const IslandPlan* plan,
                           std::uint32_t island);
+  /// True once set_island_gateway() made this medium an island.
+  [[nodiscard]] bool has_island_gateway() const {
+    return island_ix_ != nullptr;
+  }
 
   /// Applies one cross-island transmission as a "ghost": receptions are
   /// marked immediately (the caller invokes this at a window boundary no

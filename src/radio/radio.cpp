@@ -1,5 +1,6 @@
 #include "radio/radio.hpp"
 
+#include <stdexcept>
 #include <utility>
 
 #include "radio/medium.hpp"
@@ -19,6 +20,11 @@ Radio::~Radio() {
 }
 
 void Radio::set_position(Position pos) {
+  // An island plan fixes reach and adjacency from the positions it was
+  // computed from; a moved radio could reach islands it never posts to.
+  if (medium_.has_island_gateway()) {
+    throw std::logic_error("radio: cannot move a radio of an island world");
+  }
   pos_ = pos;
   medium_.invalidate_neighbor_caches();
 }

@@ -39,6 +39,8 @@ class Radio {
   [[nodiscard]] NodeId id() const { return id_; }
   [[nodiscard]] const Position& position() const { return pos_; }
   /// Moving a radio invalidates every cached link budget in the medium.
+  /// Throws std::logic_error on an island medium: the island plan's reach
+  /// and adjacency hold only for the positions it was computed from.
   void set_position(Position pos);
 
   [[nodiscard]] ChannelId channel() const { return channel_; }

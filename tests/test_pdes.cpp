@@ -4,14 +4,18 @@
 // count, with lanes == 1 as the serial oracle.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <span>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "common/bytes.hpp"
+#include "common/rng.hpp"
 #include "pdes/world.hpp"
 #include "radio/island.hpp"
 #include "runner/engine.hpp"
@@ -74,6 +78,69 @@ TEST(IslandPlan, EmptyAndSingleNodeWorlds) {
       radio::plan_islands({radio::Position{3, 4}}, clean_radio(), 1);
   EXPECT_EQ(one.count, 1u);
   EXPECT_TRUE(one.adjacency[0].empty());
+}
+
+TEST(IslandPlan, ReachMatchesBruteForce) {
+  // Random worlds checked against an all-pairs oracle: node i reaches
+  // island k != its own iff some node of k clears min(sensitivity, CCA)
+  // - margin from i, with the same shadowing draws (same seed, ids offset
+  // by id_base). Adjacency must be exactly the union of reach.
+  for (const double sigma : {0.0, 3.0}) {
+    for (const double margin : {0.0, 3.0}) {
+      for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        radio::PropagationConfig cfg = clean_radio();
+        cfg.shadowing_sigma_db = sigma;
+        Rng rng(seed, 0x4EAC);
+        std::vector<radio::Position> pos(60);
+        for (radio::Position& p : pos) {
+          p = {rng.uniform(0.0, 200.0), rng.uniform(0.0, 200.0)};
+        }
+        radio::IslandPlanOptions opt;
+        opt.cell_size = 40.0;
+        opt.margin_db = margin;
+        opt.id_base = 100;
+        const radio::IslandPlan plan =
+            radio::plan_islands(pos, cfg, seed, opt);
+        ASSERT_EQ(plan.reach_offsets.size(), pos.size() + 1);
+
+        const radio::Propagation prop(cfg, seed);
+        const double floor_dbm =
+            std::min(cfg.sensitivity_dbm, cfg.cca_threshold_dbm) - margin;
+        std::vector<std::vector<std::uint32_t>> adjacency(plan.count);
+        std::size_t links = 0;
+        for (std::size_t i = 0; i < pos.size(); ++i) {
+          std::vector<std::uint32_t> oracle;
+          for (std::size_t j = 0; j < pos.size(); ++j) {
+            const std::uint32_t isl = plan.island_of[j];
+            if (isl == plan.island_of[i]) continue;
+            const double rx = prop.rx_dbm(static_cast<NodeId>(100 + i),
+                                          pos[i],
+                                          static_cast<NodeId>(100 + j),
+                                          pos[j]);
+            if (rx >= floor_dbm) oracle.push_back(isl);
+          }
+          std::sort(oracle.begin(), oracle.end());
+          oracle.erase(std::unique(oracle.begin(), oracle.end()),
+                       oracle.end());
+          const std::span<const std::uint32_t> got = plan.reach(i);
+          EXPECT_EQ(std::vector<std::uint32_t>(got.begin(), got.end()),
+                    oracle)
+              << "sigma=" << sigma << " margin=" << margin
+              << " seed=" << seed << " node=" << i;
+          links += oracle.size();
+          auto& adj = adjacency[plan.island_of[i]];
+          adj.insert(adj.end(), oracle.begin(), oracle.end());
+        }
+        EXPECT_GT(links, 0u);  // the worlds do cross island borders
+        for (auto& adj : adjacency) {
+          std::sort(adj.begin(), adj.end());
+          adj.erase(std::unique(adj.begin(), adj.end()), adj.end());
+        }
+        EXPECT_EQ(plan.adjacency, adjacency);
+        EXPECT_THROW((void)plan.reach(pos.size()), std::out_of_range);
+      }
+    }
+  }
 }
 
 TEST(IslandPlan, MaxLinkRangeGrowsWithShadowingSigma) {
@@ -443,6 +510,60 @@ TEST(IslandWorld, RoutingSpansIslands) {
   EXPECT_GT(world.interchange().posted(), 0u);
   EXPECT_EQ(world.check_consistency(), "");
   world.stop();
+}
+
+TEST(IslandWorld, GhostsGoOnlyWhereSomeoneListens) {
+  // 5x5-node patches at 18 m: a patch's center node is 54 m from every
+  // node of another patch, beyond the clean radio's 46 m range, while its
+  // corner node hears the three patches around that corner.
+  IslandWorldConfig cfg = small_world(1);
+  cfg.island_side = 5;
+  {
+    IslandWorld world(cfg);
+    const std::size_t center = 2 * 5 + 2;  // island 0, local (2, 2)
+    const std::size_t corner = 4 * 5 + 4;  // island 0, local (4, 4)
+    EXPECT_TRUE(world.plan().reach(center).empty());
+    const std::span<const std::uint32_t> corner_reach =
+        world.plan().reach(corner);
+    EXPECT_EQ(std::vector<std::uint32_t>(corner_reach.begin(),
+                                         corner_reach.end()),
+              (std::vector<std::uint32_t>{1, 2, 3}));
+
+    radio::Radio& inner = world.node(center).radio;
+    inner.set_mode(radio::Mode::kListen);
+    ASSERT_TRUE(inner.transmit(radio::Frame{}, nullptr));
+    EXPECT_EQ(world.interchange().posted(), 0u);
+    radio::Radio& outer = world.node(corner).radio;
+    outer.set_mode(radio::Mode::kListen);
+    ASSERT_TRUE(outer.transmit(radio::Frame{}, nullptr));
+    EXPECT_EQ(world.interchange().posted(), 3u);
+  }
+
+  // Over a whole formation run every transmission posts exactly one ghost
+  // per island its sender reaches.
+  IslandWorld world(cfg);
+  world.start();
+  world.run_until(20_s);
+  std::uint64_t expected = 0;
+  std::uint64_t silent_senders = 0;
+  for (std::size_t i = 0; i < world.size(); ++i) {
+    const std::uint64_t sent = world.node(i).radio.frames_sent();
+    expected += sent * world.plan().reach(i).size();
+    if (sent > 0 && world.plan().reach(i).empty()) ++silent_senders;
+  }
+  EXPECT_GT(silent_senders, 0u);
+  EXPECT_GT(expected, 0u);
+  EXPECT_EQ(world.interchange().posted(), expected);
+  EXPECT_EQ(world.medium_stats().cross_island_tx, expected);
+  world.stop();
+}
+
+TEST(IslandWorld, RadiosCannotMoveUnderAnIslandPlan) {
+  // Reach and adjacency were computed from the planned positions.
+  IslandWorld world(small_world(1));
+  EXPECT_THROW(world.node(0).radio.set_position({1000, 1000}),
+               std::logic_error);
+  EXPECT_DOUBLE_EQ(world.node(0).radio.position().x, 0.0);
 }
 
 TEST(IslandWorld, DeliversUpwardDataAcrossIslands) {
