@@ -15,11 +15,13 @@
 // The digest-identity check is enforced everywhere, at every lane count.
 //
 // With --compare, the serial events/sec of each size must reach
-// --min-ratio of the baseline's, and the 10k world digest must equal the
-// baseline's digest_10k. Every run line and the console table also carry
-// the engine counters (sim::ParallelStats: windows executed, idle-skip
-// steps, horizon snapshots tried and held) of the fastest rep and, per
-// size, the cross-island fan-out (ghosts posted per transmission).
+// --min-ratio of the baseline's, the 10k world digest must equal the
+// baseline's digest_10k, and the 10k world must fit at least 0.95x the
+// baseline's nodes per MiB of heap. Every run line and the console table
+// also carry the engine counters (sim::ParallelStats: windows executed,
+// idle-skip steps, horizon snapshots tried and held) of the fastest rep
+// and, per size, the cross-island fan-out (ghosts posted per
+// transmission) and the serial world's in-use heap per node once run.
 //
 // Results append to BENCH_pdes.json:
 //
@@ -30,6 +32,8 @@
 // Exit codes: 0 pass, 1 a gate failed, 2 bad arguments, 3 the --compare
 // baseline is missing or holds no run line (a configuration error, found
 // before anything runs, so it is never mistaken for a regression).
+#include <malloc.h>
+
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -49,6 +53,13 @@ double now_seconds() {
   using clock = std::chrono::steady_clock;
   return std::chrono::duration<double>(clock::now().time_since_epoch())
       .count();
+}
+
+/// Bytes glibc's allocator has handed out and not taken back: arena
+/// chunks in use plus mmapped blocks, over all arenas.
+std::size_t heap_in_use() {
+  const struct mallinfo2 mi = mallinfo2();
+  return mi.uordblks + mi.hblkhd;
 }
 
 constexpr sim::Time kMeasure = 20'000'000;  // formation + paced traffic
@@ -73,6 +84,7 @@ struct RunResult {
   std::uint64_t digest = 0;
   std::uint64_t events = 0;
   double ghosts_per_tx = 0.0;  // cross_island_tx / transmissions
+  double heap_per_node = 0.0;  // in-use heap of the world after the run
   sim::ParallelStats engine;  // lane-timing dependent, not compared
   std::string consistency;    // empty = clean
 };
@@ -87,6 +99,7 @@ RunResult run_config(const SizeCfg& size, unsigned lanes) {
   cfg.radio_cfg.exponent = 3.0;
   cfg.radio_cfg.shadowing_sigma_db = 0.0;
 
+  const std::size_t heap_before = heap_in_use();
   pdes::IslandWorld world(cfg);
   world.start();
   // Paced upward telemetry from every node (a no-op until the node
@@ -124,6 +137,8 @@ RunResult run_config(const SizeCfg& size, unsigned lanes) {
                         : static_cast<double>(ms.cross_island_tx) /
                               static_cast<double>(ms.transmissions);
   r.engine = world.pdes_stats();
+  r.heap_per_node = static_cast<double>(heap_in_use() - heap_before) /
+                    static_cast<double>(world.size());
   world.stop();
   return r;
 }
@@ -132,6 +147,11 @@ RunResult run_config(const SizeCfg& size, unsigned lanes) {
 /// 10k world digest, which must equal the baseline's bit for bit.
 constexpr const char* kGated[] = {"eps_2k_l1", "eps_5k_l1", "eps_10k_l1"};
 constexpr const char* kGatedDigest = "digest_10k";
+/// Gated by --compare at kMinMemoryRatio: the serial 10k world's nodes per
+/// MiB of in-use heap. Heap use repeats to within a few bytes per node
+/// from run to run, so the band is much tighter than the speed gate's.
+constexpr const char* kGatedMemory[] = {"nodes_per_mib_10k"};
+constexpr double kMinMemoryRatio = 0.95;
 
 }  // namespace
 
@@ -225,16 +245,17 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::printf("\n%-6s %8s %10s %9s", "size", "nodes", "events", "ghosts/tx");
+  std::printf("\n%-6s %8s %10s %9s %11s", "size", "nodes", "events",
+              "ghosts/tx", "heap B/node");
   for (unsigned l : lane_configs) std::printf("  lanes=%-2u wall", l);
   std::printf("  speedup@4\n");
   std::vector<double> scaling4(nsizes, 0.0);
   for (std::size_t s = 0; s < nsizes; ++s) {
     const std::size_t nodes = kSizes[s].islands_x * kSizes[s].islands_y *
                               kSizes[s].side * kSizes[s].side;
-    std::printf("%-6s %8zu %10llu %9.3f", kSizes[s].name, nodes,
+    std::printf("%-6s %8zu %10llu %9.3f %11.0f", kSizes[s].name, nodes,
                 static_cast<unsigned long long>(best[s][0].events),
-                best[s][0].ghosts_per_tx);
+                best[s][0].ghosts_per_tx, best[s][0].heap_per_node);
     for (std::size_t c = 0; c < lane_configs.size(); ++c) {
       std::printf("  %11.3fs", best[s][c].wall);
     }
@@ -296,13 +317,18 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(best[largest][0].digest),
       enforce ? 1 : 0, static_cast<unsigned long long>(reps));
   run << buf;
-  // Cross-island fan-out (ghosts posted per transmission), ungated, so a
-  // fan-out regression shows on every run line.
+  // Cross-island fan-out (ghosts posted per transmission) and heap per
+  // node, ungated, so a regression in either shows on every run line.
   for (std::size_t s = 0; s < nsizes; ++s) {
-    std::snprintf(buf, sizeof buf, ", \"ghosts_per_tx_%s\": %.4f",
-                  kSizes[s].name, best[s][0].ghosts_per_tx);
+    std::snprintf(buf, sizeof buf,
+                  ", \"ghosts_per_tx_%s\": %.4f, \"heap_per_node_%s\": %.0f",
+                  kSizes[s].name, best[s][0].ghosts_per_tx, kSizes[s].name,
+                  best[s][0].heap_per_node);
     run << buf;
   }
+  std::snprintf(buf, sizeof buf, ", \"nodes_per_mib_10k\": %.1f",
+                1024.0 * 1024.0 / best[largest][0].heap_per_node);
+  run << buf;
   // Engine counters of the 10k world, serial and at 4 lanes.
   for (std::size_t c : {std::size_t{0}, std::size_t{2}}) {
     const sim::ParallelStats& e = best[largest][c].engine;
@@ -324,8 +350,12 @@ int main(int argc, char** argv) {
   const bool ratio_ok =
       base_line.empty() ||
       bench::ratio_gate(base_line, run.str(), kGated, min_ratio);
+  const bool memory_ok =
+      base_line.empty() ||
+      bench::ratio_gate(base_line, run.str(), kGatedMemory, kMinMemoryRatio);
   const bool digest_ok =
       base_line.empty() ||
       bench::digest_gate(base_line, run.str(), kGatedDigest);
-  return identical && scaling_ok && ratio_ok && digest_ok ? 0 : 1;
+  return identical && scaling_ok && ratio_ok && memory_ok && digest_ok ? 0
+                                                                      : 1;
 }

@@ -11,11 +11,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <unordered_map>
+#include <vector>
 
 #include "common/bytes.hpp"
+#include "common/flat_keys.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
 #include "obs/context.hpp"
@@ -146,13 +146,14 @@ class MacBase : public Mac {
   }
 
   [[nodiscard]] bool queue_empty() const { return queue_.empty(); }
+  /// The oldest request. Invalidated by the next enqueue (the queue is a
+  /// vector), so never hold it across a call that can send.
   [[nodiscard]] Pending& queue_front() { return queue_.front(); }
-  void queue_pop() { queue_.pop_front(); }
 
   /// Completes the front request and pops it.
   void complete_front(bool delivered) {
     Pending p = std::move(queue_.front());
-    queue_.pop_front();
+    queue_.erase(queue_.begin());
     if (delivered) {
       ++stats_.delivered;
     } else {
@@ -202,15 +203,9 @@ class MacBase : public Mac {
       ++stats_.rx_foreign;
       return false;
     }
-    const std::uint64_t key =
-        (static_cast<std::uint64_t>(f.src) << 16) | f.seq;
-    auto [it, fresh] = seen_.try_emplace(f.src, key);
-    if (!fresh) {
-      if (it->second == key) {
-        ++stats_.rx_duplicates;
-        return false;
-      }
-      it->second = key;
+    if (!seen_.fresh(f.src, f.seq)) {
+      ++stats_.rx_duplicates;
+      return false;
     }
     ++stats_.rx_delivered;
     obs::Tracer* t = obs::tracer(sched_);
@@ -237,11 +232,14 @@ class MacBase : public Mac {
 
  private:
   std::size_t queue_capacity_;
-  std::deque<Pending> queue_;
+  // FIFO of requests, oldest first. Its depth is almost always 0 or 1: a
+  // vector allocates nothing until the first send, and popping the front
+  // moves at most queue_capacity_ entries.
+  std::vector<Pending> queue_;
   ReceiveHandler on_receive_;
-  // Last sequence key seen per source (suppresses immediate duplicates,
-  // which is what link-layer dedup realistically achieves).
-  std::unordered_map<NodeId, std::uint64_t> seen_;
+  // Last sequence number seen per source (suppresses immediate
+  // duplicates, which is what link-layer dedup realistically achieves).
+  LastSeqTable seen_;
 };
 
 }  // namespace iiot::mac

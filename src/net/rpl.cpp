@@ -707,16 +707,8 @@ void RplRouting::note_delivery(std::uint8_t hops) {
 }
 
 bool RplRouting::seen_recently(NodeId origin, SeqNo seq) {
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(origin) << 32) | seq;
-  if (seen_set_.count(key) > 0) return true;
-  seen_set_.emplace(key, true);
-  seen_fifo_.push_back(key);
-  if (seen_fifo_.size() > 8192) {
-    seen_set_.erase(seen_fifo_.front());
-    seen_fifo_.pop_front();
-  }
-  return false;
+  return seen_.seen_or_insert((static_cast<std::uint64_t>(origin) << 32) |
+                              seq);
 }
 
 }  // namespace iiot::net

@@ -14,12 +14,12 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <optional>
 #include <unordered_map>
 
 #include "common/bytes.hpp"
+#include "common/flat_keys.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
 #include "mac/mac.hpp"
@@ -232,9 +232,10 @@ class RplRouting {
   sim::EventHandle dao_timer_;
   sim::EventHandle dis_timer_;
 
-  // Duplicate suppression for routed data (origin, seq).
-  std::deque<std::uint64_t> seen_fifo_;
-  std::unordered_map<std::uint64_t, bool> seen_set_;
+  // Duplicate suppression for routed data: the last 8192 distinct
+  // (origin << 32 | seq) keys; it allocates only once data reaches
+  // this node.
+  KeyWindow seen_{8192};
 };
 
 }  // namespace iiot::net

@@ -84,7 +84,7 @@ IslandWorld::IslandWorld(IslandWorldConfig cfg)
   for (std::size_t k = 0; k < plan_.count; ++k) {
     auto isle = std::make_unique<Island>();
     if (cfg_.metrics) {
-      isle->obs = std::make_unique<obs::Context>(isle->sched, 1u << 18);
+      isle->obs = std::make_unique<obs::Context>(isle->sched);
     }
     // One propagation seed for every island (shadowing draws must agree
     // across islands); the delivery RNG is decorrelated per island.

@@ -1,6 +1,7 @@
 // MAC protocol tests: CSMA, LPL, RI-MAC, TDMA behaviour and energy.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "harness.hpp"
@@ -13,6 +14,66 @@ using test::World;
 
 Buffer payload(std::size_t n = 12, std::uint8_t fill = 0xAB) {
   return Buffer(n, fill);
+}
+
+/// Sends `total` numbered frames to `dst`, three up front; each send
+/// callback enqueues the next two, so sends run inside completion
+/// callbacks while the queue grows, and only then records its id (-1
+/// for a failed send) in `completed`. Reading its captures after the
+/// queue has grown is what exposes a callback run from inside the queue.
+struct ChainedSender {
+  ChainedSender(Mac& m, NodeId d, int n) : mac(m), dst(d), total(n) {}
+
+  Mac& mac;
+  NodeId dst;
+  int total;
+  int next = 0;
+  std::vector<int> completed;
+
+  void start() {
+    for (int i = 0; i < 3; ++i) send_one();
+  }
+  void send_one() {
+    const int id = next++;
+    mac.send(dst, payload(4, static_cast<std::uint8_t>(id)),
+             [this, id](const SendStatus& s) {
+               for (int k = 0; k < 2 && next < total; ++k) send_one();
+               completed.push_back(s.delivered ? id : -1);
+             });
+  }
+};
+
+/// Every frame of a ChainedSender completes once and arrives in FIFO
+/// order. A retry after a lost ack goes out under a fresh link sequence
+/// number, so the receiver may see a frame twice in a row.
+void expect_chain_in_order(const ChainedSender& tx,
+                           const std::vector<std::uint8_t>& rx) {
+  ASSERT_EQ(tx.next, tx.total);
+  ASSERT_EQ(tx.completed.size(), static_cast<std::size_t>(tx.total));
+  for (int i = 0; i < tx.total; ++i) EXPECT_EQ(tx.completed[i], i);
+  std::vector<std::uint8_t> distinct = rx;
+  distinct.erase(std::unique(distinct.begin(), distinct.end()),
+                 distinct.end());
+  ASSERT_EQ(distinct.size(), static_cast<std::size_t>(tx.total));
+  for (int i = 0; i < tx.total; ++i) EXPECT_EQ(distinct[i], i);
+}
+
+/// Wires node 0 -> node 1 with MAC `M` and runs a 12-frame chain.
+template <class M, class... Cfg>
+void run_chain(std::uint64_t seed, Time horizon, Cfg... cfg) {
+  World w(seed);
+  w.make_line(2);
+  auto& a = w.with_mac<M>(w.node(0), cfg...);
+  auto& b = w.with_mac<M>(w.node(1), cfg...);
+  std::vector<std::uint8_t> rx;
+  b.set_receive_handler([&](NodeId, BytesView p, double) {
+    rx.push_back(p[0]);
+  });
+  w.start_all();
+  ChainedSender tx{a, 1, 12};
+  tx.start();
+  w.sched().run_until(horizon);
+  expect_chain_in_order(tx, rx);
 }
 
 // ------------------------------------------------------------------- CSMA
@@ -118,6 +179,10 @@ TEST(CsmaMac, QueueOverflowRejects) {
   }
   EXPECT_LT(accepted, 40);
   EXPECT_GE(a.stats().queue_drops, 1u);
+}
+
+TEST(CsmaMac, SendFromCallbackWhileQueueGrows) {
+  run_chain<CsmaMac>(7, 2_s);
 }
 
 TEST(CsmaMac, AlwaysOnDutyCycleIsNearOne) {
@@ -274,6 +339,10 @@ TEST(LplMac, BackToBackSendsAllDeliver) {
   EXPECT_EQ(rx, 5);
 }
 
+TEST(LplMac, SendFromCallbackWhileQueueGrows) {
+  run_chain<LplMac>(15, 20_s, fast_lpl());
+}
+
 // ------------------------------------------------------------------ RI-MAC
 
 RiMacConfig fast_rimac() {
@@ -352,6 +421,10 @@ TEST(RiMac, IdleNetworkDutyCycleLow) {
     w.node(i).meter.settle(w.sched().now());
     EXPECT_LT(w.node(i).meter.duty_cycle(), 0.08);
   }
+}
+
+TEST(RiMac, SendFromCallbackWhileQueueGrows) {
+  run_chain<RiMac>(24, 20_s, fast_rimac());
 }
 
 // -------------------------------------------------------------------- TDMA
@@ -491,6 +564,21 @@ TEST(TdmaMac, ManySamplesAllReachRoot) {
   }
   w.sched().run_until(30_s);
   EXPECT_EQ(at_root.size(), 10u);
+}
+
+TEST(TdmaMac, SendFromCallbackWhileQueueGrows) {
+  World w(35);
+  w.make_line(2);
+  std::vector<Buffer> at_root;
+  Rng pr(104);
+  wire_tdma_line(w, 2, fast_tdma(true), &at_root, pr);
+  w.start_all();
+  ChainedSender tx{*w.node(1).mac, 0, 12};
+  w.sched().schedule_at(1_s, [&] { tx.start(); });
+  w.sched().run_until(30_s);
+  std::vector<std::uint8_t> rx;
+  for (const Buffer& b : at_root) rx.push_back(b[0]);
+  expect_chain_in_order(tx, rx);
 }
 
 }  // namespace
