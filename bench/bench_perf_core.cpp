@@ -28,16 +28,23 @@
 // --compare=F    perf-regression gate: read the newest run line of F and
 //                exit 1 if any events/sec metric drops below
 //                min-ratio × baseline (default 0.8, i.e. a >20% drop) or
-//                any net*_transmissions/deliveries/collisions counter
-//                differs from the baseline's at all; exit 3 before running
-//                if F is missing or has no run line
+//                any net*_transmissions/deliveries/collisions counter or
+//                net200_allocs differs from the baseline's at all; exit 3
+//                before running if F is missing or has no run line
 // --min-ratio=R  override the compare threshold
 //
 // Pass a label like "seed" or "optimized"; default "current".
+//
+// This binary replaces the global operator new to count allocations per
+// thread: the run line's net200_allocs is the number of allocations made
+// while the timed 200-node span runs (the steady-state transmission path
+// is meant to allocate nothing; see DESIGN.md §4b).
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <new>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -47,6 +54,29 @@
 #include "radio/medium.hpp"
 #include "runner/engine.hpp"
 #include "sim/scheduler.hpp"
+
+namespace {
+
+// Allocations made by the calling thread. Per thread, so --jobs>1 workers
+// running other workloads do not pollute a measured span.
+thread_local std::uint64_t t_allocs = 0;
+
+}  // namespace
+
+void* operator new(std::size_t n) {
+  ++t_allocs;
+  for (;;) {
+    if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+    std::new_handler h = std::get_new_handler();
+    if (h == nullptr) throw std::bad_alloc();
+    h();
+  }
+}
+void* operator new[](std::size_t n) { return ::operator new(n); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -132,6 +162,7 @@ struct NetResult {
   std::uint64_t transmissions = 0;
   std::uint64_t deliveries = 0;
   std::uint64_t collisions = 0;
+  std::uint64_t allocs = 0;  // operator new calls during the timed span
 };
 
 NetResult csma_network(int n, std::uint64_t seed,
@@ -164,9 +195,11 @@ NetResult csma_network(int n, std::uint64_t seed,
 
   const std::uint64_t ev0 = sched.executed_events();
   const std::uint64_t tx0 = medium.stats().transmissions;
+  const std::uint64_t allocs0 = t_allocs;
   const double t0 = now_seconds();
   sched.run_until(20_s + measured);
   const double wall = now_seconds() - t0;
+  const std::uint64_t allocs = t_allocs - allocs0;
 
   NetResult r;
   r.nodes = n;
@@ -178,6 +211,7 @@ NetResult csma_network(int n, std::uint64_t seed,
   r.transmissions = medium.stats().transmissions;
   r.deliveries = medium.stats().deliveries;
   r.collisions = medium.stats().collisions;
+  r.allocs = allocs;
   if (metrics_json != nullptr) *metrics_json = bench::metrics_snapshot_json(sched);
   return r;
 }
@@ -230,17 +264,21 @@ bool measure(runner::Engine& eng, std::uint64_t reps, Best& best) {
       const NetResult& r = slots[base + 2 + static_cast<std::size_t>(k)].net;
       const NetResult& r0 = slots[2 + static_cast<std::size_t>(k)].net;
       if (r.transmissions != r0.transmissions ||
-          r.deliveries != r0.deliveries || r.collisions != r0.collisions) {
+          r.deliveries != r0.deliveries || r.collisions != r0.collisions ||
+          r.allocs != r0.allocs) {
         std::printf(
             "FAIL: rep %llu of net%d diverged from rep 0 "
-            "(%llu/%llu/%llu tx/rx/coll vs %llu/%llu/%llu)\n",
+            "(%llu/%llu/%llu/%llu tx/rx/coll/allocs vs "
+            "%llu/%llu/%llu/%llu)\n",
             static_cast<unsigned long long>(rep), r.nodes,
             static_cast<unsigned long long>(r.transmissions),
             static_cast<unsigned long long>(r.deliveries),
             static_cast<unsigned long long>(r.collisions),
+            static_cast<unsigned long long>(r.allocs),
             static_cast<unsigned long long>(r0.transmissions),
             static_cast<unsigned long long>(r0.deliveries),
-            static_cast<unsigned long long>(r0.collisions));
+            static_cast<unsigned long long>(r0.collisions),
+            static_cast<unsigned long long>(r0.allocs));
         deterministic = false;
       }
       if (r.events_per_sec > best.nets[k].events_per_sec) best.nets[k] = r;
@@ -259,12 +297,15 @@ constexpr const char* kGated[] = {
 };
 
 /// Gated exactly by --compare: the mesh counters are a behavioural
-/// fingerprint of the radio/MAC/RPL stack. CI compares on gcc only, since
-/// libm differences across toolchains may legitimately move them.
+/// fingerprint of the radio/MAC/RPL stack, and net200_allocs pins the
+/// allocation budget of the steady-state mesh. CI compares on gcc only,
+/// since libm and standard-library differences across toolchains may
+/// legitimately move them.
 constexpr const char* kGatedCounters[] = {
     "net50_transmissions",  "net50_deliveries",  "net50_collisions",
     "net200_transmissions", "net200_deliveries", "net200_collisions",
     "net500_transmissions", "net500_deliveries", "net500_collisions",
+    "net200_allocs",
 };
 
 }  // namespace
@@ -319,11 +360,12 @@ int main(int argc, char** argv) {
   for (const NetResult& r : best.nets) {
     std::printf(
         "csma %4d nodes:     %12.0f events/s  %12.0f frames/s  "
-        "(%.2fs wall, %llu tx, %llu rx, %llu coll)\n",
+        "(%.2fs wall, %llu tx, %llu rx, %llu coll, %llu allocs)\n",
         r.nodes, r.events_per_sec, r.frames_per_sec, r.wall_sec,
         static_cast<unsigned long long>(r.transmissions),
         static_cast<unsigned long long>(r.deliveries),
-        static_cast<unsigned long long>(r.collisions));
+        static_cast<unsigned long long>(r.collisions),
+        static_cast<unsigned long long>(r.allocs));
   }
 
   std::ostringstream run;
@@ -348,7 +390,9 @@ int main(int argc, char** argv) {
                   r.nodes, static_cast<unsigned long long>(r.collisions));
     run << buf;
   }
-  std::snprintf(buf, sizeof buf, ", \"reps\": %llu, \"jobs\": %u",
+  std::snprintf(buf, sizeof buf,
+                ", \"net200_allocs\": %llu, \"reps\": %llu, \"jobs\": %u",
+                static_cast<unsigned long long>(best.nets[1].allocs),  // net200
                 static_cast<unsigned long long>(reps), eng.jobs());
   run << buf;
   // Per-layer metrics snapshot from an instrumented (untimed) replay of

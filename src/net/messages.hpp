@@ -4,6 +4,7 @@
 // sizes — and hence airtime and energy — are real.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 
@@ -32,7 +33,10 @@ struct DioMsg {
   NodeId dodag_root = kInvalidNode;
   std::uint8_t depth = 0xFF;  // true hop distance to the root
 
+  static constexpr std::size_t kEncodedSize = 9;
+
   void encode(Buffer& out) const {
+    out.reserve(out.size() + kEncodedSize);
     BufWriter w(out);
     w.u8(static_cast<std::uint8_t>(MsgType::kDio));
     w.u8(version);
@@ -58,7 +62,10 @@ struct DioMsg {
 struct DaoMsg {
   NodeId target = kInvalidNode;  // node advertising downward reachability
 
+  static constexpr std::size_t kEncodedSize = 5;
+
   void encode(Buffer& out) const {
+    out.reserve(out.size() + kEncodedSize);
     BufWriter w(out);
     w.u8(static_cast<std::uint8_t>(MsgType::kDao));
     w.u32(target);
@@ -77,7 +84,15 @@ struct DataMsg {
   std::uint8_t hops = 0;
   Buffer payload;
 
+  /// Header bytes before the payload (type, origin, dest, seq, hops and
+  /// the u16 payload length).
+  static constexpr std::size_t kHeaderSize = 16;
+
+  [[nodiscard]] std::size_t encoded_size() const {
+    return kHeaderSize + payload.size();
+  }
   void encode(Buffer& out) const {
+    out.reserve(out.size() + encoded_size());
     BufWriter w(out);
     w.u8(static_cast<std::uint8_t>(MsgType::kData));
     w.u32(origin);

@@ -14,6 +14,31 @@ void Medium::set_island_gateway(Interchange* ix, const IslandPlan* plan,
   island_id_ = island;
 }
 
+namespace {
+
+/// Unordered removal: nothing reads active_/remote_active_ in order
+/// (lookups go by id, channel_busy only answers a bool, detach works per
+/// transmission), so the last entry may fill the gap.
+template <typename T>
+void swap_remove(std::vector<T>& v, typename std::vector<T>::iterator it) {
+  if (it != v.end() - 1) *it = std::move(v.back());
+  v.pop_back();
+}
+
+}  // namespace
+
+std::vector<Radio*> Medium::take_receivers() {
+  if (spare_receivers_.empty()) return {};
+  std::vector<Radio*> list = std::move(spare_receivers_.back());
+  spare_receivers_.pop_back();
+  return list;
+}
+
+void Medium::recycle_receivers(std::vector<Radio*>&& list) {
+  list.clear();
+  spare_receivers_.push_back(std::move(list));
+}
+
 void Medium::attach(Radio* r) {
   r->medium_index_ = radios_.size();
   radios_.push_back(r);
@@ -95,7 +120,8 @@ void Medium::begin_tx(Radio& src, Frame f) {
   const sim::Time end = start + airtime(f);
   const std::uint64_t id = next_tx_id_++;
 
-  ActiveTx tx{id, &src, src.channel(), start, end, std::move(f), {}, 0, {}};
+  ActiveTx tx{id, &src, src.channel(), start, end, std::move(f), {}, 0,
+              take_receivers()};
   if (obs::Tracer* t = obs::tracer(sched_)) {
     tx.obs_span = t->begin(tx.frame.trace, src.id(), obs::Layer::kRadio,
                            "tx", tx.frame.span);
@@ -178,7 +204,7 @@ void Medium::apply_remote(const CellTx& m) {
   ++stats_.cross_island_rx;
   RemoteActive rt{next_remote_id_++, m.src,   m.src_pos,  m.channel,
                   m.b1,              m.b2,    m.air_end,  m.frame,
-                  m.fault,           {}};
+                  m.fault,           take_receivers()};
   // A frame whose true airtime ended before this island's boundary
   // radiates nothing here anymore — it only delivers at b2.
   const bool radiates = m.air_end > m.b1;
@@ -232,7 +258,7 @@ void Medium::finish_remote(std::uint64_t id) {
                          [id](const RemoteActive& t) { return t.id == id; });
   if (it == remote_active_.end()) return;
   RemoteActive rt = std::move(*it);
-  remote_active_.erase(it);
+  swap_remove(remote_active_, it);
 
   // Delivery loop identical to finish_tx, minus tracing (per-island),
   // firing at the quantized b2 rather than the true airtime end.
@@ -272,6 +298,7 @@ void Medium::finish_remote(std::uint64_t id) {
       receiver->deliver(rt.frame, signal_dbm);
     }
   }
+  recycle_receivers(std::move(rt.receivers));
 }
 
 void Medium::on_receiver_disturbed(Radio& r) {
@@ -320,7 +347,7 @@ void Medium::finish_tx(std::uint64_t tx_id) {
                          [tx_id](const ActiveTx& t) { return t.id == tx_id; });
   if (it == active_.end()) return;
   ActiveTx tx = std::move(*it);
-  active_.erase(it);
+  swap_remove(active_, it);
   obs::Tracer* t = obs::tracer(sched_);
 
   // Deliver surviving receptions in creation order. Each entry is removed
@@ -376,6 +403,7 @@ void Medium::finish_tx(std::uint64_t tx_id) {
     }
   }
   if (t != nullptr) t->end(tx.obs_span);
+  recycle_receivers(std::move(tx.receivers));
 }
 
 void Medium::deliver_late(NodeId to, const Frame& f, double signal_dbm,

@@ -247,6 +247,15 @@ class Medium {
   void finish_tx(std::uint64_t tx_id);
   void finish_remote(std::uint64_t id);
 
+  /// Receiver lists are recycled: a finished transmission hands its
+  /// cleared list (capacity kept) to spare_receivers_, and the next
+  /// begin_tx/apply_remote takes one back, so steady-state transmissions
+  /// never grow a fresh vector. A list is taken before any reception is
+  /// marked and returned only after the last delivery callback, so a
+  /// handler that transmits from inside finish_tx takes a different one.
+  [[nodiscard]] std::vector<Radio*> take_receivers();
+  void recycle_receivers(std::vector<Radio*>&& list);
+
   /// True iff the reception `rx_id` still radiates energy at `t`. Local
   /// receptions radiate for as long as they are listed (entries die at
   /// the exact airtime end); ghost receptions only during [b1, air_end) —
@@ -271,6 +280,7 @@ class Medium {
   std::uint64_t next_tx_id_ = 1;
   std::vector<ActiveTx> active_;
   std::vector<RemoteActive> remote_active_;
+  std::vector<std::vector<Radio*>> spare_receivers_;  // cleared, for reuse
   std::uint64_t next_remote_id_ = kRemoteIdBit | 1;
   Interchange* island_ix_ = nullptr;        // island gateway (nullptr = off)
   const IslandPlan* island_plan_ = nullptr;

@@ -37,7 +37,7 @@ EventHandle Scheduler::schedule_at(Time at, Callback fn) {
   s.fn = std::move(fn);
   s.seq = seq;
   s.armed = true;
-  heap_push(HeapEntry{at, seq, slot});
+  heap_push(at - now_ < kNearHorizon ? near_ : far_, HeapEntry{at, seq, slot});
   ++live_;
   return EventHandle{this, slot, seq};
 }
@@ -49,15 +49,14 @@ void Scheduler::cancel(std::uint32_t slot, std::uint64_t seq) {
   release_slot(slot);
   --live_;
   ++stale_entries_;
-  if (heap_.size() >= kCompactMinHeap && stale_entries_ * 2 > heap_.size()) {
-    compact();
-  }
+  const std::size_t entries = near_.size() + far_.size();
+  if (entries >= kCompactMinHeap && stale_entries_ * 2 > entries) compact();
 }
 
 bool Scheduler::step() {
-  while (!heap_.empty()) {
-    const HeapEntry e = heap_.front();
-    heap_pop();
+  while (std::vector<HeapEntry>* h = front_heap()) {
+    const HeapEntry e = h->front();
+    heap_pop(*h);
     if (stale(e)) {
       --stale_entries_;
       continue;
@@ -76,11 +75,11 @@ bool Scheduler::step() {
 }
 
 void Scheduler::run_until(Time deadline) {
-  while (!heap_.empty()) {
-    const HeapEntry& top = heap_.front();
+  while (std::vector<HeapEntry>* h = front_heap()) {
+    const HeapEntry& top = h->front();
     if (stale(top)) {
       --stale_entries_;
-      heap_pop();
+      heap_pop(*h);
       continue;
     }
     if (top.at > deadline) break;
@@ -90,10 +89,10 @@ void Scheduler::run_until(Time deadline) {
 }
 
 Time Scheduler::next_event_time_skim() {
-  while (!heap_.empty()) {
-    if (!stale(heap_.front())) return heap_.front().at;
+  while (std::vector<HeapEntry>* h = front_heap()) {
+    if (!stale(h->front())) return h->front().at;
     --stale_entries_;
-    heap_pop();
+    heap_pop(*h);
   }
   return kTimeNever;
 }
@@ -105,49 +104,79 @@ void Scheduler::run_all() {
 
 // ------------------------------------------------------- 4-ary min-heap
 
-void Scheduler::heap_push(HeapEntry e) {
-  heap_.push_back(e);
-  std::size_t i = heap_.size() - 1;
+// Both sifts move a hole instead of swapping: the displaced entry is held
+// in registers and written once, where the hole stops.
+
+void Scheduler::heap_push(std::vector<HeapEntry>& heap, HeapEntry e) {
+  heap.push_back(e);
+  HeapEntry* const h = heap.data();
+  std::size_t i = heap.size() - 1;
   while (i > 0) {
     const std::size_t parent = (i - 1) / 4;
-    if (!before(heap_[i], heap_[parent])) break;
-    std::swap(heap_[i], heap_[parent]);
+    if (!before(e, h[parent])) break;
+    h[i] = h[parent];
     i = parent;
   }
+  h[i] = e;
 }
 
-void Scheduler::heap_pop() {
-  heap_.front() = heap_.back();
-  heap_.pop_back();
-  if (!heap_.empty()) sift_down(0);
+void Scheduler::heap_pop(std::vector<HeapEntry>& heap) {
+  heap.front() = heap.back();
+  heap.pop_back();
+  if (!heap.empty()) sift_down(heap, 0);
 }
 
-void Scheduler::sift_down(std::size_t i) {
-  const std::size_t n = heap_.size();
-  for (;;) {
-    const std::size_t first_child = 4 * i + 1;
-    if (first_child >= n) return;
-    std::size_t best = first_child;
-    const std::size_t last_child = std::min(first_child + 4, n);
-    for (std::size_t c = first_child + 1; c < last_child; ++c) {
-      if (before(heap_[c], heap_[best])) best = c;
+void Scheduler::sift_down(std::vector<HeapEntry>& heap, std::size_t i) {
+  const std::size_t n = heap.size();
+  HeapEntry* const h = heap.data();
+  const HeapEntry e = h[i];
+  for (std::size_t c = 4 * i + 1; c < n; c = 4 * i + 1) {
+    std::size_t best = c;
+    if (c + 3 < n) {
+      // Full family: a two-round tournament. The first round loads all
+      // four keys and keeps each pair's winner in registers, which
+      // compiles to conditional moves rather than branches on
+      // unpredictable comparisons; the final round compares the two
+      // winners without reloading them.
+      const HeapEntry& a = h[c];
+      const HeapEntry& b = h[c + 1];
+      const HeapEntry& x = h[c + 2];
+      const HeapEntry& y = h[c + 3];
+      const bool b_wins = before(b, a);
+      const bool y_wins = before(y, x);
+      const Time lo_at = b_wins ? b.at : a.at;
+      const std::uint64_t lo_seq = b_wins ? b.seq : a.seq;
+      const Time hi_at = y_wins ? y.at : x.at;
+      const std::uint64_t hi_seq = y_wins ? y.seq : x.seq;
+      const bool hi_wins =
+          (hi_at < lo_at) | ((hi_at == lo_at) & (hi_seq < lo_seq));
+      best = hi_wins ? c + 2 + y_wins : c + b_wins;
+    } else {
+      // The last parent may have only 1–3 children.
+      for (std::size_t k = c + 1; k < n; ++k) {
+        if (before(h[k], h[best])) best = k;
+      }
     }
-    if (!before(heap_[best], heap_[i])) return;
-    std::swap(heap_[i], heap_[best]);
+    if (!before(h[best], e)) break;
+    h[i] = h[best];
     i = best;
   }
+  h[i] = e;
 }
 
 void Scheduler::compact() {
-  std::erase_if(heap_, [this](const HeapEntry& e) { return stale(e); });
-  stale_entries_ = 0;
-  // Floyd heap construction; (at, seq) is a total order, so the result is
-  // independent of the pre-compaction layout — determinism is preserved.
-  if (heap_.size() > 1) {
-    for (std::size_t i = (heap_.size() - 2) / 4 + 1; i-- > 0;) {
-      sift_down(i);
+  for (std::vector<HeapEntry>* heap : {&near_, &far_}) {
+    std::erase_if(*heap, [this](const HeapEntry& e) { return stale(e); });
+    // Floyd heap construction; (at, seq) is a total order, so the result
+    // is independent of the pre-compaction layout — determinism is
+    // preserved.
+    if (heap->size() > 1) {
+      for (std::size_t i = (heap->size() - 2) / 4 + 1; i-- > 0;) {
+        sift_down(*heap, i);
+      }
     }
   }
+  stale_entries_ = 0;
 }
 
 }  // namespace iiot::sim

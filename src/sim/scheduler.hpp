@@ -11,9 +11,11 @@
 //     {slot index, sequence} pair, so cancel() is O(1) and allocation-free,
 //   * closures use the small-buffer-optimized sim::Callback, so periodic
 //     MAC/Trickle timers never touch the allocator in steady state,
-//   * ordering is a 4-ary min-heap over plain {time, seq, slot} PODs with
-//     lazy deletion; cancelled entries are skipped at pop and compacted
-//     away when they outnumber live ones.
+//   * ordering is two 4-ary min-heaps over plain {time, seq, slot} PODs
+//     with lazy deletion: entries due within kNearHorizon of now() at
+//     push go to the near heap, the rest to the far heap, and the next
+//     event is the earlier of the two fronts. Cancelled entries are
+//     skipped at pop and compacted away when they outnumber live ones.
 //
 // Lifetime: an EventHandle must not be used after its Scheduler is
 // destroyed (schedulers outlive the protocol objects holding handles
@@ -95,8 +97,9 @@ class Scheduler {
   /// the common case the PDES idle skip polls: an empty heap or a live
   /// front entry.
   [[nodiscard]] Time next_event_time() {
-    if (heap_.empty()) return kTimeNever;
-    if (!stale(heap_.front())) return heap_.front().at;
+    const std::vector<HeapEntry>* h = front_heap();
+    if (h == nullptr) return kTimeNever;
+    if (!stale(h->front())) return h->front().at;
     return next_event_time_skim();
   }
 
@@ -114,6 +117,15 @@ class Scheduler {
   friend class EventHandle;
 
   static constexpr std::uint32_t kNilSlot = 0xFFFFFFFFu;
+
+  /// Near/far split point. MAC and radio events (airtime ends, backoffs,
+  /// ack timeouts) fall due within milliseconds and are popped
+  /// constantly; protocol timers (Trickle, DAO, sensing periods) sit
+  /// seconds out and are most of what is pending. Keeping the latter in
+  /// their own heap keeps the heap that is popped small and shallow.
+  /// Only speed depends on this value: both heaps share the (at, seq)
+  /// order and the earlier front always fires first.
+  static constexpr Duration kNearHorizon = 100'000;  // 100 ms
 
   /// Closure storage for one scheduled event. `seq` identifies the event
   /// currently occupying the slot; handles carrying an older seq are
@@ -133,9 +145,10 @@ class Scheduler {
     std::uint32_t slot;
   };
 
+  /// Evaluated without short-circuit branches so the sift loops can pick
+  /// children with conditional moves (no __int128: src/ is -Wpedantic).
   [[nodiscard]] static bool before(const HeapEntry& a, const HeapEntry& b) {
-    if (a.at != b.at) return a.at < b.at;
-    return a.seq < b.seq;
+    return (a.at < b.at) | ((a.at == b.at) & (a.seq < b.seq));
   }
 
   [[nodiscard]] bool stale(const HeapEntry& e) const {
@@ -154,10 +167,18 @@ class Scheduler {
     return s.armed && s.seq == seq;
   }
 
-  // 4-ary min-heap primitives over heap_.
-  void heap_push(HeapEntry e);
-  void heap_pop();
-  void sift_down(std::size_t i);
+  /// The heap whose front is the earliest entry (stale or not), or
+  /// nullptr when both are empty.
+  [[nodiscard]] std::vector<HeapEntry>* front_heap() {
+    if (far_.empty()) return near_.empty() ? nullptr : &near_;
+    if (near_.empty() || before(far_.front(), near_.front())) return &far_;
+    return &near_;
+  }
+
+  // 4-ary min-heap primitives: the children of entry i are 4i+1 .. 4i+4.
+  static void heap_push(std::vector<HeapEntry>& heap, HeapEntry e);
+  static void heap_pop(std::vector<HeapEntry>& heap);
+  static void sift_down(std::vector<HeapEntry>& heap, std::size_t i);
   void compact();
   /// next_event_time() past a stale front entry: pops cancelled entries.
   Time next_event_time_skim();
@@ -167,10 +188,11 @@ class Scheduler {
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
   std::size_t live_ = 0;          // armed events
-  std::size_t stale_entries_ = 0; // cancelled entries still in heap_
+  std::size_t stale_entries_ = 0; // cancelled entries still in a heap
   std::vector<Slot> slots_;
   std::uint32_t free_head_ = kNilSlot;
-  std::vector<HeapEntry> heap_;
+  std::vector<HeapEntry> near_;  // due within kNearHorizon at push
+  std::vector<HeapEntry> far_;   // everything later
 };
 
 inline void EventHandle::cancel() {

@@ -80,7 +80,6 @@ PdesRunOutcome run_pdes_scenario(const PdesScenarioConfig& cfg,
   // Ack patience must track the generated window, not the default one
   // (see IslandWorldConfig::node_config).
   wc.node.csma.ack_timeout = 6 * cfg.window;
-  const radio::FaultInjectorConfig none{};
   if (cfg.frame_faults.drop_p > 0.0 || cfg.frame_faults.corrupt_p > 0.0 ||
       cfg.frame_faults.duplicate_p > 0.0 || cfg.frame_faults.delay_p > 0.0) {
     wc.faults = cfg.frame_faults;

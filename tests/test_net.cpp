@@ -7,6 +7,7 @@
 
 #include "harness.hpp"
 #include "net/link_estimator.hpp"
+#include "net/messages.hpp"
 #include "net/rnfd.hpp"
 #include "net/rpl.hpp"
 #include "net/trickle.hpp"
@@ -16,6 +17,49 @@ namespace {
 
 using namespace sim;  // NOLINT: time literals
 using test::World;
+
+// ----------------------------------------------------------- codecs
+
+TEST(NetCodec, EncodersWriteExactlyTheSizeTheyReserve) {
+  // Each encoder reserves its exact size up front, so an empty buffer is
+  // allocated once and never grows; a wrong size would show as a size or
+  // capacity mismatch here.
+  const DioMsg dio{3, 512, 1, 2};
+  Buffer out;
+  dio.encode(out);
+  EXPECT_EQ(out.size(), DioMsg::kEncodedSize);
+  EXPECT_EQ(out.capacity(), out.size());
+  BufReader dio_in(BytesView(out).subspan(1));
+  const auto dio_back = DioMsg::decode(dio_in);
+  ASSERT_TRUE(dio_back.has_value());
+  EXPECT_EQ(dio_back->rank, 512);
+  EXPECT_EQ(dio_back->depth, 2);
+
+  const DaoMsg dao{42};
+  out = Buffer{};
+  dao.encode(out);
+  EXPECT_EQ(out.size(), DaoMsg::kEncodedSize);
+  EXPECT_EQ(out.capacity(), out.size());
+
+  for (const std::size_t payload : {0u, 1u, 17u, 90u}) {
+    DataMsg data;
+    data.origin = 7;
+    data.dest = 9;
+    data.seq = 1234;
+    data.hops = 3;
+    data.payload.assign(payload, 0xAB);
+    out = Buffer{};
+    data.encode(out);
+    EXPECT_EQ(data.encoded_size(), DataMsg::kHeaderSize + payload);
+    EXPECT_EQ(out.size(), data.encoded_size()) << payload << " B payload";
+    EXPECT_EQ(out.capacity(), out.size()) << payload << " B payload";
+    BufReader data_in(BytesView(out).subspan(1));
+    const auto data_back = DataMsg::decode(data_in);
+    ASSERT_TRUE(data_back.has_value());
+    EXPECT_EQ(data_back->payload, data.payload);
+    EXPECT_EQ(data_in.remaining(), 0u);
+  }
+}
 
 // ---------------------------------------------------------------- Trickle
 

@@ -2,10 +2,14 @@
 // capture, CCA, half-duplex and duty-cycling semantics.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <optional>
+#include <ostream>
+#include <vector>
 
 #include "energy/meter.hpp"
+#include "radio/island.hpp"
 #include "radio/medium.hpp"
 #include "radio/radio.hpp"
 #include "sim/scheduler.hpp"
@@ -371,6 +375,228 @@ TEST_F(RadioTest, CcaSeesTransmitterAfterChannelSwitch) {
   sched.schedule_at(200, [&] { EXPECT_FALSE(b.radio.cca_clear()); });
   sched.run_all();
   EXPECT_TRUE(b.radio.cca_clear());
+}
+
+// ------------------------------------------------ re-entrant deliveries
+//
+// Finished transmissions hand their receiver lists back to the medium
+// for reuse (DESIGN.md §4b). These cases drive the paths where a
+// recycled list could be shared, lost or left stale: a handler that
+// transmits from inside a delivery, a source or a receiver detaching
+// while a recycled list is in use, and a ghost transmission on an island
+// medium. Each must keep check_consistency() clean and deliver exactly
+// the frames of the reference recording, which was taken from the
+// medium before receiver lists were recycled.
+
+struct Delivery {
+  NodeId rx;
+  NodeId src;
+  std::uint16_t seq;
+  Time at;
+  bool operator==(const Delivery&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const Delivery& d) {
+  return os << "{" << d.rx << ", " << d.src << ", " << d.seq << ", " << d.at
+            << "}";
+}
+
+/// Puts `n` in listen mode and appends each frame it receives to `log`;
+/// `react`, when set, runs afterwards inside the delivery callback.
+void record_deliveries(TestNode& n, Scheduler& sched,
+                       std::vector<Delivery>& log,
+                       std::function<void(const Frame&)> react = nullptr) {
+  n.radio.set_mode(Mode::kListen);
+  n.radio.set_receive_handler(
+      [&n, &sched, &log, react = std::move(react)](const Frame& f, double) {
+        log.push_back({n.radio.id(), f.src, f.seq, sched.now()});
+        if (react) react(f);
+      });
+}
+
+Frame seq_frame(NodeId src, NodeId dst, std::uint16_t seq,
+                std::size_t payload = 20) {
+  Frame f = make_frame(src, dst, payload);
+  f.seq = seq;
+  return f;
+}
+
+/// Schedules a check_consistency() probe every 100 us over [from, to).
+void probe_consistency(Scheduler& sched, const Medium& m, Time from,
+                       Time to) {
+  for (Time t = from; t < to; t += 100) {
+    sched.schedule_at(t, [&m, t] {
+      EXPECT_EQ(m.check_consistency(), "") << "at t=" << t;
+    });
+  }
+}
+
+/// Four listeners on a 10 m square; every link is close and reliable.
+struct Square {
+  Square(Medium& medium, Scheduler& sched)
+      : a(std::make_unique<TestNode>(medium, sched, 1, Position{0, 0})),
+        b(std::make_unique<TestNode>(medium, sched, 2, Position{10, 0})),
+        c(std::make_unique<TestNode>(medium, sched, 3, Position{0, 10})),
+        d(std::make_unique<TestNode>(medium, sched, 4, Position{10, 10})) {}
+  std::unique_ptr<TestNode> a, b, c, d;
+};
+
+TEST_F(RadioTest, HandlerTransmittingInsideDeliveryTakesASpareList) {
+  Square sq(medium, sched);
+  // E sits next to A: A's frames capture over anything D sends.
+  TestNode e(medium, sched, 5, {-5, 0});
+  std::vector<Delivery> log;
+  record_deliveries(*sq.a, sched, log);
+  record_deliveries(*sq.b, sched, log);
+  record_deliveries(*sq.c, sched, log);
+  record_deliveries(*sq.d, sched, log, [&](const Frame& f) {
+    // Synchronous reply from inside finish_tx, while the frame being
+    // delivered still holds its receiver list and E is yet to be served.
+    if (f.seq == 1) {
+      EXPECT_TRUE(sq.d->radio.transmit(seq_frame(4, kBroadcastNode, 100),
+                                       nullptr));
+    }
+  });
+  record_deliveries(e, sched, log);
+
+  // Warm-up: two overlapping frames leave two lists on the spare stack.
+  sq.a->radio.transmit(seq_frame(1, kBroadcastNode, 0), nullptr);
+  sched.schedule_at(50, [&] {
+    sq.d->radio.transmit(seq_frame(4, kBroadcastNode, 0), nullptr);
+  });
+  sched.schedule_at(10'000, [&] {
+    sq.a->radio.transmit(seq_frame(1, kBroadcastNode, 1), nullptr);
+  });
+  sched.schedule_at(20'000, [&] {
+    sq.c->radio.transmit(seq_frame(3, kBroadcastNode, 2), nullptr);
+  });
+  probe_consistency(sched, medium, 0, 25'000);
+  sched.run_all();
+
+  EXPECT_EQ(medium.check_consistency(), "");
+  EXPECT_EQ(medium.in_flight(), 0u);
+  const std::vector<Delivery> reference = {
+      {5, 1, 0, 1184},    {2, 1, 1, 11184},   {3, 1, 1, 11184},
+      {4, 1, 1, 11184},   {5, 1, 1, 11184},   {2, 4, 100, 12368},
+      {3, 4, 100, 12368}, {1, 3, 2, 21184},   {2, 3, 2, 21184},
+      {4, 3, 2, 21184},   {5, 3, 2, 21184}};
+  EXPECT_EQ(log, reference);
+}
+
+TEST_F(RadioTest, SourceDetachingMidFrameReleasesItsRecycledList) {
+  Square sq(medium, sched);
+  std::vector<Delivery> log;
+  record_deliveries(*sq.a, sched, log);
+  record_deliveries(*sq.b, sched, log);
+  record_deliveries(*sq.c, sched, log);
+  record_deliveries(*sq.d, sched, log);
+
+  sq.a->radio.transmit(seq_frame(1, kBroadcastNode, 0), nullptr);
+  sched.schedule_at(10'000, [&] {
+    // Takes the list the warm-up frame recycled; its source dies mid-air.
+    sq.a->radio.transmit(seq_frame(1, kBroadcastNode, 1, 50), nullptr);
+  });
+  sched.schedule_at(10'500, [&] { sq.a.reset(); });
+  sched.schedule_at(20'000, [&] {
+    sq.b->radio.transmit(seq_frame(2, kBroadcastNode, 2), nullptr);
+  });
+  sched.schedule_at(22'000, [&] {
+    sq.d->radio.transmit(seq_frame(4, 3, 3), nullptr);
+  });
+  probe_consistency(sched, medium, 0, 25'000);
+  sched.run_all();
+
+  EXPECT_EQ(medium.check_consistency(), "");
+  EXPECT_EQ(medium.in_flight(), 0u);
+  const std::vector<Delivery> reference = {
+      {2, 1, 0, 1184},  {3, 1, 0, 1184},  {4, 1, 0, 1184}, {3, 2, 2, 21184},
+      {4, 2, 2, 21184}, {2, 4, 3, 23184}, {3, 4, 3, 23184}};
+  EXPECT_EQ(log, reference);
+}
+
+TEST_F(RadioTest, ReceiverDetachingWhileRecycledListIsHeld) {
+  Square sq(medium, sched);
+  std::vector<Delivery> log;
+  record_deliveries(*sq.a, sched, log);
+  record_deliveries(*sq.b, sched, log);
+  record_deliveries(*sq.c, sched, log);
+  record_deliveries(*sq.d, sched, log);
+
+  sq.a->radio.transmit(seq_frame(1, kBroadcastNode, 0), nullptr);
+  sched.schedule_at(10'000, [&] {
+    sq.a->radio.transmit(seq_frame(1, kBroadcastNode, 1, 50), nullptr);
+  });
+  // C leaves while A's frame, on a recycled list naming C, is in the air.
+  sched.schedule_at(10'700, [&] { sq.c.reset(); });
+  sched.schedule_at(20'000, [&] {
+    sq.b->radio.transmit(seq_frame(2, kBroadcastNode, 2), nullptr);
+  });
+  probe_consistency(sched, medium, 0, 25'000);
+  sched.run_all();
+
+  EXPECT_EQ(medium.check_consistency(), "");
+  const std::vector<Delivery> reference = {
+      {2, 1, 0, 1184},  {3, 1, 0, 1184},  {4, 1, 0, 1184}, {2, 1, 1, 12144},
+      {4, 1, 1, 12144}, {1, 2, 2, 21184}, {4, 2, 2, 21184}};
+  EXPECT_EQ(log, reference);
+}
+
+TEST_F(RadioTest, GhostOnIslandMediumRecyclesItsList) {
+  // Two islands on one scheduler: A alone on island 0 (this fixture's
+  // medium), B and C on island 1. A's frame reaches island 1 as a ghost.
+  const std::vector<Position> pos = {{0, 0}, {14, 0}, {20, 0}};
+  IslandPlanOptions opt;
+  opt.cell_size = 12;
+  opt.id_base = 1;
+  const IslandPlan plan = plan_islands(pos, ideal_config(), 1234, opt);
+  ASSERT_EQ(plan.count, 2u);
+  ASSERT_EQ(plan.island_of, (std::vector<std::uint32_t>{0, 1, 1}));
+  Interchange ix(plan.count);
+  Medium island1(sched, ideal_config(), 1234, /*rng_salt=*/1);
+  medium.set_island_gateway(&ix, &plan, 0);
+  island1.set_island_gateway(&ix, &plan, 1);
+
+  TestNode a(medium, sched, 1, pos[0]);
+  TestNode b(island1, sched, 2, pos[1]);
+  TestNode c(island1, sched, 3, pos[2]);
+  std::vector<Delivery> log;
+  record_deliveries(a, sched, log);
+  record_deliveries(b, sched, log);
+  record_deliveries(c, sched, log);
+
+  auto apply_ghosts = [&] {
+    for (const CellTx& m : ix.take_until(1, kTimeNever)) {
+      island1.apply_remote(m);
+    }
+  };
+  // Ghosts are applied at a window boundary no later than their b1.
+  a.radio.transmit(seq_frame(1, kBroadcastNode, 0), nullptr);
+  apply_ghosts();
+  EXPECT_EQ(island1.remote_in_flight(), 1u);
+  EXPECT_EQ(island1.check_consistency(), "");
+  sched.schedule_at(10'000, [&] {
+    a.radio.transmit(seq_frame(1, 3, 1), nullptr);
+    apply_ghosts();
+  });
+  // Local frame on island 1 after the ghosts have finished: it takes the
+  // list a ghost recycled.
+  sched.schedule_at(20'000, [&] {
+    c.radio.transmit(seq_frame(3, 2, 2), nullptr);
+  });
+  probe_consistency(sched, medium, 0, 25'000);
+  probe_consistency(sched, island1, 0, 25'000);
+  sched.run_all();
+
+  EXPECT_EQ(island1.remote_in_flight(), 0u);
+  EXPECT_EQ(island1.stats().cross_island_rx, 2u);
+  EXPECT_EQ(medium.check_consistency(), "");
+  EXPECT_EQ(island1.check_consistency(), "");
+  const std::vector<Delivery> reference = {{2, 1, 0, 2000},
+                                           {3, 1, 0, 2000},
+                                           {2, 1, 1, 12000},
+                                           {3, 1, 1, 12000},
+                                           {2, 3, 2, 21184}};
+  EXPECT_EQ(log, reference);
 }
 
 // ---- determinism regression ------------------------------------------

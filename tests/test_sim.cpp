@@ -1,8 +1,15 @@
 // Unit tests for the discrete-event scheduler and energy meter.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
+#include <map>
+#include <set>
+#include <tuple>
+#include <utility>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "energy/meter.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/time.hpp"
@@ -292,6 +299,231 @@ TEST(PeriodicTimer, RestartInsideOwnCallbackRephases) {
   t.start();
   s.run_until(450);
   EXPECT_EQ(fires, (std::vector<Time>{100, 200, 217, 317, 417}));
+}
+
+// ------------------------------------------- differential heap check
+//
+// The 4-ary heap must fire events in exactly the (at, seq) order of a
+// reference std::set, whatever mix of schedule, cancel, step and
+// run_until reaches it — including callbacks that schedule at now() or
+// cancel other events, mass cancellations that trip compaction, and heaps
+// of every small size (so the last parent has 1, 2, 3 or 4 children).
+
+/// The real scheduler behind the script's interface; events are named by
+/// a dense id so both backends can cancel "the same" event.
+class RealBackend {
+ public:
+  void schedule_at(Time at, int id, std::function<void()> fn) {
+    const auto slot = static_cast<std::size_t>(id);
+    if (handles_.size() <= slot) handles_.resize(slot + 1);
+    handles_[slot] = s_.schedule_at(at, std::move(fn));
+  }
+  void cancel(int id) {
+    const auto slot = static_cast<std::size_t>(id);
+    if (id >= 0 && slot < handles_.size()) handles_[slot].cancel();
+  }
+  bool step() { return s_.step(); }
+  void run_until(Time t) { s_.run_until(t); }
+  [[nodiscard]] Time now() const { return s_.now(); }
+  [[nodiscard]] std::size_t pending() const { return s_.pending_events(); }
+  [[nodiscard]] Time next_time() { return s_.next_event_time(); }
+
+ private:
+  Scheduler s_;
+  std::vector<EventHandle> handles_;
+};
+
+/// Reference: a std::set ordered by (at, seq, id), seq counting every
+/// schedule call as sim::Scheduler's does.
+class RefBackend {
+ public:
+  void schedule_at(Time at, int id, std::function<void()> fn) {
+    if (at < now_) at = now_;
+    const Key k{at, next_seq_++, id};
+    queue_.insert(k);
+    live_[id] = {k, std::move(fn)};
+  }
+  void cancel(int id) {
+    const auto it = live_.find(id);
+    if (it == live_.end()) return;
+    queue_.erase(it->second.first);
+    live_.erase(it);
+  }
+  bool step() {
+    if (queue_.empty()) return false;
+    const Key k = *queue_.begin();
+    queue_.erase(queue_.begin());
+    const auto it = live_.find(std::get<2>(k));
+    std::function<void()> fn = std::move(it->second.second);
+    live_.erase(it);
+    now_ = std::get<0>(k);
+    fn();
+    return true;
+  }
+  void run_until(Time t) {
+    while (!queue_.empty() && std::get<0>(*queue_.begin()) <= t) step();
+    if (now_ < t) now_ = t;
+  }
+  [[nodiscard]] Time now() const { return now_; }
+  [[nodiscard]] std::size_t pending() const { return queue_.size(); }
+  [[nodiscard]] Time next_time() const {
+    return queue_.empty() ? kTimeNever : std::get<0>(*queue_.begin());
+  }
+
+ private:
+  using Key = std::tuple<Time, std::uint64_t, int>;
+  std::set<Key> queue_;
+  std::map<int, std::pair<Key, std::function<void()>>> live_;
+  Time now_ = 0;
+  std::uint64_t next_seq_ = 0;
+};
+
+struct Fired {
+  int id;
+  Time at;
+  bool operator==(const Fired&) const = default;
+};
+
+/// Backend state sampled between script operations.
+struct Probe {
+  std::size_t pending;
+  Time next;
+  Time now;
+  bool operator==(const Probe&) const = default;
+};
+
+/// Drives one backend through a seeded random script. Everything the
+/// script does depends only on its own RNG and on event ids, so two
+/// backends with the same firing order produce identical logs.
+template <typename Backend>
+class HeapScript {
+ public:
+  explicit HeapScript(std::uint64_t seed) : rng_(seed, 11) {}
+
+  int add(Time at) {
+    const int id = next_id_++;
+    b_.schedule_at(at, id, [this, id] { fire(id); });
+    return id;
+  }
+  void cancel(int id) { b_.cancel(id); }
+  bool step() { return b_.step(); }
+  void run_until(Time t) { b_.run_until(t); }
+  [[nodiscard]] Time now() const { return b_.now(); }
+  void probe() {
+    probes_.push_back({b_.pending(), b_.next_time(), b_.now()});
+  }
+
+  /// One random operation.
+  void random_op() {
+    const std::uint32_t op = rng_.below(100);
+    if (op < 28) {
+      // A few events close together: many equal-time ties.
+      const std::uint32_t n = 1 + rng_.below(8);
+      for (std::uint32_t i = 0; i < n; ++i) add(now() + rng_.below(20));
+    } else if (op < 40) {
+      if (next_id_ > 0) {
+        cancel(static_cast<int>(
+            rng_.below(static_cast<std::uint32_t>(next_id_))));
+      }
+    } else if (op < 62) {
+      step();
+    } else if (op < 77) {
+      run_until(now() + (rng_.below(10) == 0 ? rng_.below(150'000)
+                                              : rng_.below(30)));
+    } else if (op < 85) {
+      // Mass cancellation: at least 64 entries with over half of them
+      // cancelled trips the heap's compaction.
+      const std::uint32_t n = 64 + rng_.below(140);
+      std::vector<int> ids;
+      for (std::uint32_t i = 0; i < n; ++i) {
+        ids.push_back(add(now() + rng_.below(200)));
+      }
+      for (const int id : ids) {
+        if (rng_.below(4) != 0) cancel(id);
+      }
+    } else if (op < 93) {
+      // Around the scheduler's 100 ms near/far split: one absolute time
+      // reached from different distances lands in either heap, so ties
+      // across the two heaps must still break by insertion order.
+      add((now() / 100'000 + 1) * 100'000);
+      add(now() + 99'990 + rng_.below(20));
+      if (rng_.below(8) == 0) add(now() + 1'000'000 * (1 + rng_.below(3)));
+    } else {
+      probe();
+    }
+  }
+
+  void drain() {
+    while (step()) {
+    }
+    probe();
+  }
+
+  [[nodiscard]] const std::vector<Fired>& fired() const { return fired_; }
+  [[nodiscard]] const std::vector<Probe>& probes() const { return probes_; }
+
+ private:
+  /// Callback reactions keyed off the id: schedule at now() (a tie with
+  /// whatever else is due now), schedule shortly after, or cancel an
+  /// earlier event, which may already have fired or been cancelled.
+  void fire(int id) {
+    fired_.push_back({id, now()});
+    SplitMix64 mix(static_cast<std::uint64_t>(id));
+    const std::uint64_t h = mix.next();
+    switch (h % 6) {
+      case 0: add(now()); break;
+      case 1: add(now() + 1 + static_cast<Time>(h / 6 % 7)); break;
+      case 2: cancel(id - 1 - static_cast<int>(h / 6 % 16)); break;
+      case 3: cancel(id + 1 + static_cast<int>(h / 6 % 16)); break;
+      default: break;
+    }
+  }
+
+  Backend b_;
+  Rng rng_;
+  int next_id_ = 0;
+  std::vector<Fired> fired_;
+  std::vector<Probe> probes_;
+};
+
+TEST(SchedulerDifferential, RandomScriptsFireInReferenceOrder) {
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    HeapScript<RealBackend> real(seed);
+    HeapScript<RefBackend> ref(seed);
+    for (int i = 0; i < 4000; ++i) {
+      real.random_op();
+      ref.random_op();
+      real.probe();
+      ref.probe();
+    }
+    real.drain();
+    ref.drain();
+    ASSERT_GT(real.fired().size(), 1000u) << "seed " << seed;
+    ASSERT_EQ(real.fired(), ref.fired()) << "seed " << seed;
+    ASSERT_EQ(real.probes(), ref.probes()) << "seed " << seed;
+  }
+}
+
+TEST(SchedulerDifferential, EverySmallHeapShapePopsInOrder) {
+  // Sizes 1..90 put the last parent at every child count (1–4) on the
+  // first three levels; a cancellation inside each heap leaves a stale
+  // entry for the sift to pass.
+  for (int n = 1; n <= 90; ++n) {
+    HeapScript<RealBackend> real(static_cast<std::uint64_t>(n));
+    HeapScript<RefBackend> ref(static_cast<std::uint64_t>(n));
+    Rng times(static_cast<std::uint64_t>(n), 3);
+    for (int i = 0; i < n; ++i) {
+      const Time at = times.below(static_cast<std::uint32_t>(n));
+      real.add(at);
+      ref.add(at);
+    }
+    real.cancel(n / 2);
+    ref.cancel(n / 2);
+    real.drain();
+    ref.drain();
+    ASSERT_EQ(real.fired(), ref.fired()) << "heap size " << n;
+    ASSERT_EQ(real.probes(), ref.probes()) << "heap size " << n;
+  }
 }
 
 TEST(EnergyMeter, ChargesByStateAndTime) {
