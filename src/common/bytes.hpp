@@ -5,6 +5,8 @@
 // overheads are real serialized sizes, not sizeof(struct) guesses.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <optional>
@@ -48,8 +50,14 @@ class BufWriter {
   }
   /// Length-prefixed (u16) string.
   void lp_str(std::string_view s) {
-    u16(static_cast<std::uint16_t>(s.size()));
-    str(s);
+    // One resize, then filled in place: GCC 12 flags a push_back followed
+    // by an insert here with a false -Wstringop-overflow once inlined.
+    const std::size_t at = out_.size();
+    out_.resize(at + 2 + s.size());
+    out_[at] = static_cast<std::uint8_t>(s.size() >> 8);
+    out_[at + 1] = static_cast<std::uint8_t>(s.size());
+    std::copy(s.begin(), s.end(),
+              out_.begin() + static_cast<std::ptrdiff_t>(at + 2));
   }
   /// Length-prefixed (u16) byte blob.
   void lp_bytes(BytesView b) {

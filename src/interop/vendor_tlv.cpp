@@ -1,5 +1,6 @@
 #include "interop/vendor_tlv.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 namespace iiot::interop {
@@ -19,9 +20,14 @@ std::uint8_t xor_sum(BytesView b) {
 }
 
 Buffer make_frame(std::uint8_t cmd, BytesView tlvs) {
-  Buffer f{kMagic, cmd, static_cast<std::uint8_t>(tlvs.size())};
-  f.insert(f.end(), tlvs.begin(), tlvs.end());
-  f.push_back(xor_sum(f));
+  // Sized once and filled in place (header, TLVs, XOR byte): growing a
+  // 3-byte initializer list makes GCC 12 warn falsely (-Warray-bounds).
+  Buffer f(tlvs.size() + 4);
+  f[0] = kMagic;
+  f[1] = cmd;
+  f[2] = static_cast<std::uint8_t>(tlvs.size());
+  std::copy(tlvs.begin(), tlvs.end(), f.begin() + 3);
+  f.back() = xor_sum(BytesView(f).first(f.size() - 1));
   return f;
 }
 

@@ -2,8 +2,9 @@
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
-#include <unordered_map>
+#include <vector>
 
 #include "common/types.hpp"
 
@@ -16,16 +17,18 @@ class LinkEstimator {
   /// Records the outcome of a unicast attempt batch to `neighbor`:
   /// `attempts` transmissions yielding `acked` (0 or 1) delivery.
   void record_tx(NodeId neighbor, int attempts, bool acked) {
-    auto& e = links_[neighbor];
     // Sampled ETX of this delivery: attempts needed per success.
-    double sample = acked ? static_cast<double>(std::max(attempts, 1))
-                          : kFailedSampleEtx;
-    if (e.samples == 0) {
-      e.etx = sample;
+    const double sample = acked ? static_cast<double>(std::max(attempts, 1))
+                                : kFailedSampleEtx;
+    const std::size_t i = index_of(neighbor);
+    if (i == links_.size()) {
+      // An entry exists only once a sample has been taken, so the first
+      // sample seeds the average.
+      links_.push_back(Entry{neighbor, 0, sample});
     } else {
-      e.etx = (1.0 - alpha_) * e.etx + alpha_ * sample;
+      links_[i].etx = (1.0 - alpha_) * links_[i].etx + alpha_ * sample;
     }
-    ++e.samples;
+    Entry& e = links_[i];
     if (acked) {
       e.consecutive_failures = 0;
     } else {
@@ -34,30 +37,43 @@ class LinkEstimator {
   }
 
   [[nodiscard]] double etx(NodeId neighbor) const {
-    auto it = links_.find(neighbor);
-    return it == links_.end() || it->second.samples == 0
-               ? kUnknownEtx
-               : it->second.etx;
+    const std::size_t i = index_of(neighbor);
+    return i == links_.size() ? kUnknownEtx : links_[i].etx;
   }
 
   [[nodiscard]] int consecutive_failures(NodeId neighbor) const {
-    auto it = links_.find(neighbor);
-    return it == links_.end() ? 0 : it->second.consecutive_failures;
+    const std::size_t i = index_of(neighbor);
+    return i == links_.size() ? 0 : links_[i].consecutive_failures;
   }
 
-  void forget(NodeId neighbor) { links_.erase(neighbor); }
+  void forget(NodeId neighbor) {
+    // Nothing iterates the table, so removal may reorder it.
+    const std::size_t i = index_of(neighbor);
+    if (i == links_.size()) return;
+    links_[i] = links_.back();
+    links_.pop_back();
+  }
 
   static constexpr double kUnknownEtx = 2.0;      // optimistic prior
   static constexpr double kFailedSampleEtx = 8.0; // penalty for total loss
 
  private:
   struct Entry {
-    double etx = 0.0;
-    std::uint32_t samples = 0;
+    NodeId neighbor = kInvalidNode;
     int consecutive_failures = 0;
+    double etx = 0.0;
   };
+
+  /// Position of `neighbor`'s entry; links_.size() if it has none.
+  [[nodiscard]] std::size_t index_of(NodeId neighbor) const {
+    std::size_t i = 0;
+    while (i < links_.size() && links_[i].neighbor != neighbor) ++i;
+    return i;
+  }
+
   double alpha_;
-  std::unordered_map<NodeId, Entry> links_;
+  /// One entry per neighbor this node has unicast to, in no order.
+  std::vector<Entry> links_;
 };
 
 }  // namespace iiot::net

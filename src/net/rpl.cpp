@@ -237,7 +237,9 @@ void RplRouting::handle_dio(NodeId src, const DioMsg& dio) {
     return;
   }
 
-  auto& nb = neighbors_[src];
+  const std::size_t i = neighbor_index(src);
+  if (i == neighbors_.size()) neighbors_.push_back(Neighbor{.id = src});
+  Neighbor& nb = neighbors_[i];
   nb.rank = dio.rank;
   nb.version = dio.version;
   nb.depth = dio.depth;
@@ -365,7 +367,7 @@ void RplRouting::handle_data(NodeId src, DataMsg&& msg) {
         // Drop the parent's cached entry before detaching, or the next
         // DIO from anyone re-selects it through the very stale rank
         // that built the cycle and reinstates it wholesale.
-        neighbors_.erase(parent_);
+        erase_neighbor(parent_);
         links_.forget(parent_);
         become_orphan();
       }
@@ -433,7 +435,7 @@ void RplRouting::forward_up(DataMsg msg, bool allow_reroute) {
               }
               if (links_.consecutive_failures(via) >=
                   cfg_.max_parent_failures) {
-                neighbors_.erase(via);
+                erase_neighbor(via);
                 links_.forget(via);
                 select_parent();
               }
@@ -505,10 +507,23 @@ Rank RplRouting::link_cost(NodeId neighbor) const {
 RplRouting::Neighbor* RplRouting::record_unicast(NodeId via,
                                                  const mac::SendStatus& st) {
   links_.record_tx(via, st.attempts, st.delivered);
-  const auto it = neighbors_.find(via);
-  if (it == neighbors_.end()) return nullptr;
-  it->second.link_cost = link_cost(via);
-  return &it->second;
+  const std::size_t i = neighbor_index(via);
+  if (i == neighbors_.size()) return nullptr;
+  neighbors_[i].link_cost = link_cost(via);
+  return &neighbors_[i];
+}
+
+std::size_t RplRouting::neighbor_index(NodeId n) const {
+  std::size_t i = 0;
+  while (i < neighbors_.size() && neighbors_[i].id != n) ++i;
+  return i;
+}
+
+void RplRouting::erase_neighbor(NodeId n) {
+  const std::size_t i = neighbor_index(n);
+  if (i < neighbors_.size()) {
+    neighbors_.erase(neighbors_.begin() + static_cast<std::ptrdiff_t>(i));
+  }
 }
 
 Rank RplRouting::path_cost_via(const Neighbor& nb) {
@@ -520,62 +535,68 @@ Rank RplRouting::path_cost_via(const Neighbor& nb) {
 
 void RplRouting::select_parent() {
   if (is_root_) return;
-  // One pass over the neighbor table; its iteration order decides ties.
-  NodeId best = kInvalidNode;
+  // One pass in first-heard order; only a strictly cheaper entry replaces
+  // the best so far, so equal path costs go to the neighbor heard first.
+  const Neighbor* best = nullptr;
   Rank best_cost = kInfiniteRank;
-  const Neighbor* best_nb = nullptr;
   const Neighbor* current = nullptr;  // parent_'s entry, if still known
-  for (const auto& [n, nb] : neighbors_) {
-    if (n == parent_) current = &nb;
+  for (const Neighbor& nb : neighbors_) {
+    if (nb.id == parent_) current = &nb;
     if (nb.version != version_) continue;
     const Rank c = path_cost_via(nb);
     if (c < best_cost) {
       best_cost = c;
-      best = n;
-      best_nb = &nb;
+      best = &nb;
     }
   }
-  if (best == kInvalidNode) {
+  if (best == nullptr) {
     become_orphan();
     return;
   }
   const bool had_parent = parent_ != kInvalidNode;
   const Rank current_cost =
       current != nullptr ? path_cost_via(*current) : kInfiniteRank;
-  if (!had_parent || best_cost + cfg_.parent_switch_threshold < current_cost ||
-      current == nullptr) {
-    if (parent_ != best) {
-      ++stats_.parent_changes;
-      const NodeId old = parent_;
-      parent_ = best;
-      loop_hits_ = 0;  // loop evidence was against the old parent
-      if (obs::Tracer* t = obs::tracer(sched_)) {
-        const obs::SpanRef s =
-            t->instant(0, mac_.id(), obs::Layer::kNet, "parent_switch");
-        t->annotate(s, "parent", parent_);
-      }
-      trickle_.inconsistent();  // topology event: re-advertise promptly
-      if (on_parent_change_) on_parent_change_(old, parent_);
-      if (!had_parent) {
-        // First join: start advertising reachability.
-        dao_timer_.cancel();
-        dao_timer_ = sched_.schedule_after(
-            1'000'000 + rng_.below(1'000'000), [this] { send_dao(); });
-        dis_timer_.cancel();
-      } else {
-        // Parent switched: refresh the downward path promptly.
-        dao_timer_.cancel();
-        dao_timer_ = sched_.schedule_after(200'000 + rng_.below(300'000),
-                                           [this] { send_dao(); });
-      }
+  const bool take_best = !had_parent || current == nullptr ||
+                         best_cost + cfg_.parent_switch_threshold <
+                             current_cost;
+  // Copy what is needed out of the table before any handler runs: the
+  // parent-change handler may re-enter (local_repair clears the table).
+  const NodeId best_id = best->id;
+  const Neighbor& chosen = take_best ? *best : *current;
+  const Rank chosen_cost = path_cost_via(chosen);
+  const std::uint8_t chosen_depth = chosen.depth;
+  if (take_best && parent_ != best_id) {
+    ++stats_.parent_changes;
+    const NodeId old = parent_;
+    parent_ = best_id;
+    loop_hits_ = 0;  // loop evidence was against the old parent
+    if (obs::Tracer* t = obs::tracer(sched_)) {
+      const obs::SpanRef s =
+          t->instant(0, mac_.id(), obs::Layer::kNet, "parent_switch");
+      t->annotate(s, "parent", parent_);
+    }
+    trickle_.inconsistent();  // topology event: re-advertise promptly
+    if (on_parent_change_) {
+      on_parent_change_(old, parent_);
+      // The handler detached or re-parented this node; its state stands.
+      if (parent_ != best_id) return;
+    }
+    if (!had_parent) {
+      // First join: start advertising reachability.
+      dao_timer_.cancel();
+      dao_timer_ = sched_.schedule_after(
+          1'000'000 + rng_.below(1'000'000), [this] { send_dao(); });
+      dis_timer_.cancel();
+    } else {
+      // Parent switched: refresh the downward path promptly.
+      dao_timer_.cancel();
+      dao_timer_ = sched_.schedule_after(200'000 + rng_.below(300'000),
+                                         [this] { send_dao(); });
     }
   }
-  const Neighbor* chosen = parent_ == best ? best_nb : current;
-  rank_ = chosen != nullptr ? path_cost_via(*chosen) : kInfiniteRank;
-  if (chosen != nullptr) {
-    depth_ = chosen->depth < 0xFF ? static_cast<std::uint8_t>(chosen->depth + 1)
-                                  : 0xFF;
-  }
+  rank_ = chosen_cost;
+  depth_ = chosen_depth < 0xFF ? static_cast<std::uint8_t>(chosen_depth + 1)
+                               : 0xFF;
   if (rank_ < kInfiniteRank) {
     if (rank_ < lowest_rank_) {
       lowest_rank_ = rank_;

@@ -13,10 +13,12 @@
 // router load concentration, and root-failure detection all run on it.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <optional>
 #include <unordered_map>
+#include <vector>
 
 #include "common/bytes.hpp"
 #include "common/flat_keys.hpp"
@@ -138,8 +140,8 @@ class RplRouting {
   /// Last direct evidence that neighbor `n` is alive — a control message
   /// received from it, or a MAC ack for a unicast to it (0 if never).
   [[nodiscard]] sim::Time neighbor_last_heard(NodeId n) const {
-    const auto it = neighbors_.find(n);
-    return it == neighbors_.end() ? 0 : it->second.last_heard;
+    const std::size_t i = neighbor_index(n);
+    return i == neighbors_.size() ? 0 : neighbors_[i].last_heard;
   }
   [[nodiscard]] mac::Mac& mac() { return mac_; }
   [[nodiscard]] sim::Scheduler& scheduler() { return sched_; }
@@ -151,13 +153,14 @@ class RplRouting {
 
  private:
   struct Neighbor {
+    NodeId id = kInvalidNode;
     Rank rank = kInfiniteRank;
-    std::uint8_t version = 0;
-    std::uint8_t depth = 0xFF;
-    /// link_cost(n) as of the last estimator update for this neighbor;
+    /// link_cost(id) as of the last estimator update for this neighbor;
     /// refreshed on every DIO from it and after every unicast outcome,
     /// so parent selection never re-queries the estimator.
     Rank link_cost = kInfiniteRank;
+    std::uint8_t version = 0;
+    std::uint8_t depth = 0xFF;
     sim::Time last_heard = 0;
   };
 
@@ -171,7 +174,18 @@ class RplRouting {
   void send_dao();
   void forward_up(DataMsg msg, bool allow_reroute);
   void forward_down(DataMsg msg);
+  /// Picks the neighbor with the lowest path cost (rank + link cost) in
+  /// the current version as the preferred parent, subject to the switch
+  /// hysteresis. Tie-break: among equal path costs the neighbor heard
+  /// first wins, because neighbors_ is scanned in first-heard order and
+  /// only a strictly cheaper entry displaces the best so far. A handler
+  /// it runs (parent change) may re-enter and clear the table, so no
+  /// entry is read after one runs.
   void select_parent();
+  /// Position of `n`'s entry in neighbors_; neighbors_.size() if none.
+  [[nodiscard]] std::size_t neighbor_index(NodeId n) const;
+  /// Removes `n`'s entry, keeping the others in first-heard order.
+  void erase_neighbor(NodeId n);
   [[nodiscard]] Rank link_cost(NodeId neighbor) const;
   /// Records a unicast outcome to `via` in the estimator and refreshes
   /// its cached link cost. Returns via's neighbor entry, if it has one.
@@ -221,7 +235,10 @@ class RplRouting {
   NodeId dodag_root_ = kInvalidNode;
   SeqNo next_seq_ = 1;
 
-  std::unordered_map<NodeId, Neighbor> neighbors_;
+  /// One entry per neighbor heard in this version, in first-heard order
+  /// (the order select_parent breaks ties by). A new DODAG version,
+  /// stop() and local_repair() clear it, so the order restarts.
+  std::vector<Neighbor> neighbors_;
   std::unordered_map<NodeId, NodeId> downward_;  // target -> next-hop child
 
   DeliveryHandler deliver_;

@@ -168,10 +168,14 @@ std::string MetricsRegistry::snapshot_text() const {
         out += fmt_double(s.f64);
         break;
       case Sample::Kind::kHistogram: {
-        out += "hist total=" + fmt_u64(s.u64) + " sum=" + fmt_double(s.f64) +
-               " counts=";
+        out += "hist total=";
+        out += fmt_u64(s.u64);
+        out += " sum=";
+        out += fmt_double(s.f64);
+        out += " counts=";
         for (std::size_t i = 0; i < s.hist->counts.size(); ++i) {
-          out += (i > 0 ? "," : "") + fmt_u64(s.hist->counts[i]);
+          if (i > 0) out += ',';
+          out += fmt_u64(s.hist->counts[i]);
         }
         break;
       }

@@ -98,17 +98,21 @@ const std::vector<Medium::Neighbor>& Medium::neighbors_of(
     const Radio& r) const {
   NeighborCache& cache = neighbors_[r.medium_index_];
   if (cache.epoch != cache_epoch_) {
-    cache.list.clear();
     // A neighbor is anyone whose link budget clears the weaker of the two
     // thresholds the hot paths test against; begin_tx/channel_busy apply
     // their exact threshold on top of the cached budget.
     const double floor_dbm = std::min(prop_.config().sensitivity_dbm,
                                       prop_.config().cca_threshold_dbm);
+    neighbor_scratch_.clear();
     for (Radio* other : radios_) {
       if (other == &r) continue;
       const double sig = rx_power(r, *other);
-      if (sig >= floor_dbm) cache.list.push_back(Neighbor{other, sig});
+      if (sig >= floor_dbm) neighbor_scratch_.push_back(Neighbor{other, sig});
     }
+    // Collected in a shared buffer and copied once, so a list allocates
+    // exactly its size instead of a power-of-two capacity; a rebuild
+    // reuses the list's buffer when it is large enough.
+    cache.list.assign(neighbor_scratch_.begin(), neighbor_scratch_.end());
     cache.epoch = cache_epoch_;
   }
   return cache.list;

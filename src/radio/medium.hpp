@@ -288,6 +288,7 @@ class Medium {
   std::uint64_t island_seq_ = 1;            // per-island CellTx emission seq
   std::vector<std::vector<Reception>> rx_at_;  // by medium index
   mutable std::vector<NeighborCache> neighbors_;
+  mutable std::vector<Neighbor> neighbor_scratch_;  // neighbors_of's buffer
   std::uint64_t cache_epoch_ = 1;
   FaultHook fault_hook_;
   bool debug_skip_detach_cleanup_ = false;

@@ -302,12 +302,15 @@ std::string check_crdt_convergence(std::uint64_t seed, int replicas,
   for (int op = 0; op < ops; ++op) {
     const auto at = static_cast<sim::Time>(1'000'000 + rng.below(20'000'000));
     const auto who = rng.below(static_cast<std::uint32_t>(replicas));
-    const std::string key = "k" + std::to_string(rng.below(8));
+    std::string key = "k";
+    key += std::to_string(rng.below(8));
     if (rng.chance(0.2)) {
       sched.schedule_at(at, [&reps, who, key] { reps[who]->remove(key); });
     } else {
-      const std::string value =
-          "v" + std::to_string(op) + "-" + std::to_string(who);
+      std::string value = "v";
+      value += std::to_string(op);
+      value += '-';
+      value += std::to_string(who);
       sched.schedule_at(at, [&reps, who, key, value, &violation] {
         reps[who]->put(key, value);
         auto got = reps[who]->get(key);

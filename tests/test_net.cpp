@@ -2,9 +2,13 @@
 // up/down routing, and RNFD root-failure detection.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "harness.hpp"
 #include "net/link_estimator.hpp"
 #include "net/messages.hpp"
@@ -140,6 +144,68 @@ TEST(LinkEstimator, FailuresTracked) {
   EXPECT_EQ(le.consecutive_failures(7), 2);
   le.record_tx(7, 1, true);
   EXPECT_EQ(le.consecutive_failures(7), 0);
+}
+
+TEST(LinkEstimator, MatchesNodeBasedReferenceUnderRandomRecordForget) {
+  // The estimator keeps its entries in a flat vector; this reference is
+  // the std::unordered_map version it replaced. ETX and failure counts
+  // must agree bit for bit for every id, known or not, after every step.
+  class Reference {
+   public:
+    void record_tx(NodeId n, int attempts, bool acked) {
+      auto& e = links_[n];
+      const double sample =
+          acked ? static_cast<double>(std::max(attempts, 1))
+                : LinkEstimator::kFailedSampleEtx;
+      e.etx = e.samples == 0 ? sample : 0.75 * e.etx + 0.25 * sample;
+      ++e.samples;
+      e.consecutive_failures = acked ? 0 : e.consecutive_failures + 1;
+    }
+    [[nodiscard]] double etx(NodeId n) const {
+      const auto it = links_.find(n);
+      return it == links_.end() || it->second.samples == 0
+                 ? LinkEstimator::kUnknownEtx
+                 : it->second.etx;
+    }
+    [[nodiscard]] int consecutive_failures(NodeId n) const {
+      const auto it = links_.find(n);
+      return it == links_.end() ? 0 : it->second.consecutive_failures;
+    }
+    void forget(NodeId n) { links_.erase(n); }
+
+   private:
+    struct Entry {
+      double etx = 0.0;
+      std::uint32_t samples = 0;
+      int consecutive_failures = 0;
+    };
+    std::unordered_map<NodeId, Entry> links_;
+  };
+
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    Rng rng(seed);
+    LinkEstimator le;  // default alpha 0.25, as in the reference
+    Reference ref;
+    constexpr std::uint32_t kIds = 12;
+    for (int step = 0; step < 3000; ++step) {
+      const auto n = static_cast<NodeId>(rng.below(kIds));
+      if (rng.chance(0.15)) {
+        le.forget(n);
+        ref.forget(n);
+      } else {
+        const int attempts = static_cast<int>(rng.below(6));  // 0..5
+        const bool acked = rng.chance(0.7);
+        le.record_tx(n, attempts, acked);
+        ref.record_tx(n, attempts, acked);
+      }
+      for (NodeId id = 0; id < kIds; ++id) {
+        ASSERT_EQ(le.etx(id), ref.etx(id))
+            << "seed " << seed << " step " << step << " id " << id;
+        ASSERT_EQ(le.consecutive_failures(id), ref.consecutive_failures(id))
+            << "seed " << seed << " step " << step << " id " << id;
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------------ RPL harness
@@ -409,6 +475,124 @@ TEST(Rpl, SendUpFailsWhenNotJoined) {
   RplNet net(w);
   // Do not start: not joined.
   EXPECT_FALSE(net.routers[1]->send_up(to_buffer("x")));
+}
+
+// ------------------------------------------------- RPL neighbor table
+
+/// A MAC with no radio: a test hands RPL its frames directly and reads
+/// what it sends. Sends never complete, so no unicast outcome reaches
+/// the link estimator.
+class ScriptedMac final : public mac::Mac {
+ public:
+  explicit ScriptedMac(NodeId id) : id_(id) {}
+
+  void start() override {}
+  void stop() override {}
+  bool send(NodeId dst, Buffer payload, mac::SendCallback) override {
+    sent.emplace_back(dst, std::move(payload));
+    return true;
+  }
+  void set_receive_handler(mac::ReceiveHandler h) override {
+    rx_ = std::move(h);
+  }
+  [[nodiscard]] const mac::MacStats& stats() const override { return stats_; }
+  [[nodiscard]] const char* name() const override { return "scripted"; }
+  [[nodiscard]] NodeId id() const override { return id_; }
+
+  /// Delivers a DIO from `src` advertising `rank` in version 0 of root 1.
+  void hear_dio(NodeId src, Rank rank, std::uint8_t depth = 1) {
+    Buffer b;
+    DioMsg{0, rank, kRoot, depth}.encode(b);
+    rx_(src, b, -60.0);
+  }
+
+  static constexpr NodeId kRoot = 1;
+  std::vector<std::pair<NodeId, Buffer>> sent;
+
+ private:
+  NodeId id_;
+  mac::ReceiveHandler rx_;
+  mac::MacStats stats_;
+};
+
+// Path cost through a neighbor heard only by DIO: its rank plus the link
+// cost at the estimator's unknown-link prior.
+constexpr Rank kPriorLinkCost =
+    static_cast<Rank>(LinkEstimator::kUnknownEtx * kMinHopRankIncrease);
+
+TEST(Rpl, EqualCostParentsTieToFirstHeard) {
+  // Two neighbors offer the same path cost when the current parent is
+  // poisoned; the one heard first must win, whichever id is smaller.
+  for (const auto& [first, second] :
+       {std::pair<NodeId, NodeId>{5, 9}, std::pair<NodeId, NodeId>{9, 5}}) {
+    sim::Scheduler sched;
+    ScriptedMac m(50);
+    RplRouting r(m, sched, Rng(3));
+    r.start();
+    // Heard while unusable, so both are in the table before anyone else.
+    m.hear_dio(first, kInfiniteRank);
+    m.hear_dio(second, kInfiniteRank);
+    ASSERT_FALSE(r.joined());
+    m.hear_dio(7, 256, 0);  // a cheaper parent joins the node first
+    ASSERT_EQ(r.preferred_parent(), 7u);
+    // Equal offers from both, each too weak to displace node 7.
+    m.hear_dio(second, 512);
+    m.hear_dio(first, 512);
+    ASSERT_EQ(r.preferred_parent(), 7u);
+    m.hear_dio(7, kInfiniteRank);  // the parent poisons its rank
+    EXPECT_EQ(r.preferred_parent(), first)
+        << "first heard " << first << ", then " << second;
+    EXPECT_EQ(r.rank(), 512 + kPriorLinkCost);
+    EXPECT_EQ(r.hop_depth(), 2);
+  }
+}
+
+TEST(Rpl, ParentChangeHandlerMayRepairInsideSelection) {
+  // The handler runs inside select_parent. It detaches the node and then
+  // hears enough new neighbors to move the table to a new buffer; the
+  // selection must then leave the state the handler produced and read
+  // nothing from the old buffer (the ASan build checks that part).
+  sim::Scheduler sched;
+  ScriptedMac m(50);
+  RplRouting r(m, sched, Rng(4));
+  bool in_handler = false;
+  NodeId next_id = 100;
+  int fresh = 64;  // neighbors the handler hears after repairing
+  int calls = 0;
+  r.set_parent_change_handler([&](NodeId, NodeId) {
+    ++calls;
+    if (in_handler) return;
+    in_handler = true;
+    r.local_repair();
+    EXPECT_FALSE(r.joined());
+    EXPECT_EQ(r.neighbor_count(), 0u);
+    for (int i = 0; i < fresh; ++i) m.hear_dio(next_id++, 768, 2);
+    in_handler = false;
+  });
+  r.start();
+
+  m.hear_dio(5, 512);  // first join; the handler repairs and rejoins
+  EXPECT_EQ(calls, 2);
+  EXPECT_EQ(r.preferred_parent(), 100u);
+  EXPECT_EQ(r.rank(), 768 + kPriorLinkCost);
+  EXPECT_EQ(r.hop_depth(), 3);
+  EXPECT_EQ(r.neighbor_count(), 64u);
+
+  fresh = 100;  // more than the cleared table holds: a new buffer again
+  m.hear_dio(7, 256, 0);  // a parent switch; the handler repairs again
+  EXPECT_EQ(calls, 4);
+  EXPECT_EQ(r.preferred_parent(), 164u);
+  EXPECT_EQ(r.rank(), 768 + kPriorLinkCost);
+  EXPECT_EQ(r.hop_depth(), 3);
+  EXPECT_EQ(r.neighbor_count(), 100u);
+  EXPECT_EQ(r.neighbor_last_heard(7), 0u);  // cleared by the repair
+
+  // Without a handler in the way the node still switches normally.
+  r.set_parent_change_handler(nullptr);
+  m.hear_dio(8, 256, 0);
+  EXPECT_EQ(r.preferred_parent(), 8u);
+  EXPECT_EQ(r.rank(), 256 + kPriorLinkCost);
+  EXPECT_EQ(r.hop_depth(), 1);
 }
 
 // ------------------------------------------------------------------- RNFD
