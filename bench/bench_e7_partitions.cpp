@@ -12,6 +12,7 @@
 // post-heal convergence time (AP), and stale-read window (CP has none).
 #include <cstdio>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -42,6 +43,22 @@ struct Outcome {
 constexpr int kReplicas = 5;
 constexpr Duration kRun = 300_s;
 
+/// The write replica `r` issues at second `t`: "key-<t mod 20>" gets
+/// "v<t>-<r>". Built by appending; GCC 12 warns falsely (-Wrestrict) on
+/// `"literal" + std::to_string(...)`.
+std::string write_key(Duration t) {
+  std::string k = "key-";
+  k += std::to_string(t % 20);
+  return k;
+}
+std::string write_value(Duration t, int r) {
+  std::string v = "v";
+  v += std::to_string(t);
+  v += '-';
+  v += std::to_string(r);
+  return v;
+}
+
 Outcome run_ap(const Schedule& sched_spec, std::uint64_t seed) {
   Scheduler sched;
   BackendNet net(sched, Rng(seed));
@@ -61,8 +78,7 @@ Outcome run_ap(const Schedule& sched_spec, std::uint64_t seed) {
         const bool minority = r >= 3;
         if (minority) ++minority_att;
         const bool ok = reps[static_cast<std::size_t>(r)]->put(
-            "key-" + std::to_string(t % 20),
-            "v" + std::to_string(t) + "-" + std::to_string(r));
+            write_key(t), write_value(t, r));
         if (ok) {
           ++accepted;
           if (minority) ++minority_ok;
@@ -127,8 +143,7 @@ Outcome run_cp(const Schedule& sched_spec, std::uint64_t seed) {
         const bool minority = r >= 3;
         if (minority) ++*minority_att;
         reps[static_cast<std::size_t>(r)]->put(
-            "key-" + std::to_string(t % 20),
-            "v" + std::to_string(t) + "-" + std::to_string(r),
+            write_key(t), write_value(t, r),
             [accepted, minority_ok, minority](bool ok) {
               if (ok) {
                 ++*accepted;

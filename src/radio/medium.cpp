@@ -16,9 +16,9 @@ void Medium::set_island_gateway(Interchange* ix, const IslandPlan* plan,
 
 namespace {
 
-/// Unordered removal: nothing reads active_/remote_active_ in order
-/// (lookups go by id, channel_busy only answers a bool, detach works per
-/// transmission), so the last entry may fill the gap.
+/// Unordered removal: nothing reads airings_ in order (lookups go by id,
+/// channel_busy only answers a bool, detach works per airing), so the
+/// last entry may fill the gap.
 template <typename T>
 void swap_remove(std::vector<T>& v, typename std::vector<T>::iterator it) {
   if (it != v.end() - 1) *it = std::move(v.back());
@@ -37,6 +37,22 @@ std::vector<Radio*> Medium::take_receivers() {
 void Medium::recycle_receivers(std::vector<Radio*>&& list) {
   list.clear();
   spare_receivers_.push_back(std::move(list));
+}
+
+// take_reception, mark_reception and launch are defined inline ahead of
+// their callers so the per-reception loops stay inlined on the serial hot
+// path.
+inline Medium::Reception Medium::take_reception(const Radio& r,
+                                                std::uint64_t id) {
+  auto& list = rx_at_[r.medium_index_];
+  for (std::size_t i = 0; i < list.size(); ++i) {
+    if (list[i].tx_id != id) continue;
+    const Reception rec = list[i];
+    list[i] = list.back();
+    list.pop_back();
+    return rec;
+  }
+  return Reception{id, 0.0, false, true};
 }
 
 void Medium::attach(Radio* r) {
@@ -61,31 +77,16 @@ void Medium::detach(Radio* r) {
 
   if (debug_skip_detach_cleanup_) return;  // canary: leave stale bookkeeping
 
-  for (ActiveTx& tx : active_) {
-    std::erase(tx.receivers, r);
-  }
-  // Ghost transmissions outlive any single radio (their source lives on
-  // another island); only the departing receiver is forgotten.
-  for (RemoteActive& rt : remote_active_) {
-    std::erase(rt.receivers, r);
-  }
   // Transmissions sourced by the departing radio die with it, including
-  // their receptions in progress at other radios.
-  for (ActiveTx& tx : active_) {
-    if (tx.src != r) continue;
-    for (Radio* rcv : tx.receivers) {
-      auto& list = rx_at_[rcv->medium_index_];
-      for (std::size_t i = 0; i < list.size(); ++i) {
-        if (list[i].tx_id == tx.id) {
-          list[i] = list.back();
-          list.pop_back();
-          break;
-        }
-      }
-    }
+  // their receptions in progress at other radios. Ghosts outlive any
+  // single radio (their source lives on another island).
+  for (Airing& a : airings_) {
+    std::erase(a.receivers, r);
+    if (a.src != r) continue;
+    for (Radio* rcv : a.receivers) take_reception(*rcv, a.id);
   }
   obs::Tracer* t = obs::tracer(sched_);
-  std::erase_if(active_, [r, t](const ActiveTx& tx) {
+  std::erase_if(airings_, [r, t](const Airing& tx) {
     if (tx.src != r) return false;
     // Close the airtime span of transmissions dying with their source so
     // traces do not accumulate spans for radios that no longer exist.
@@ -118,14 +119,44 @@ const std::vector<Medium::Neighbor>& Medium::neighbors_of(
   return cache.list;
 }
 
+inline void Medium::mark_reception(Airing& a, Radio& r, double signal_dbm) {
+  auto& list = rx_at_[r.medium_index_];
+  bool corrupted = false;
+  if (a.air_end > a.start) {
+    const double margin = prop_.config().capture_db;
+    for (Reception& other : list) {
+      if (other.aborted || !radiates_at(other.tx_id, a.start)) continue;
+      const bool new_wins = signal_dbm >= other.signal_dbm + margin;
+      const bool old_wins = other.signal_dbm >= signal_dbm + margin;
+      if (!old_wins) {
+        if (!other.corrupted) ++stats_.collisions;
+        other.corrupted = true;
+      }
+      if (!new_wins) {
+        if (!corrupted) ++stats_.collisions;
+        corrupted = true;
+      }
+    }
+  }
+  list.push_back(Reception{a.id, signal_dbm, corrupted, false});
+  a.receivers.push_back(&r);
+}
+
+inline void Medium::launch(Airing&& a) {
+  const std::uint64_t id = a.id;
+  const sim::Time end = a.end;
+  airings_.push_back(std::move(a));
+  sched_.schedule_at(end, [this, id] { finish(id); });
+}
+
 void Medium::begin_tx(Radio& src, Frame f) {
   ++stats_.transmissions;
   const sim::Time start = sched_.now();
   const sim::Time end = start + airtime(f);
-  const std::uint64_t id = next_tx_id_++;
 
-  ActiveTx tx{id, &src, src.channel(), start, end, std::move(f), {}, 0,
-              take_receivers()};
+  Airing tx{next_tx_id_++, &src,          src.id(), src.position(),
+            src.channel(), start,         end,      end,
+            std::move(f),  {},            0,        take_receivers()};
   if (obs::Tracer* t = obs::tracer(sched_)) {
     tx.obs_span = t->begin(tx.frame.trace, src.id(), obs::Layer::kRadio,
                            "tx", tx.frame.span);
@@ -150,8 +181,8 @@ void Medium::begin_tx(Radio& src, Frame f) {
       const sim::Duration w = island_plan_->window;
       CellTx cell;
       cell.src_island = island_id_;
-      cell.src = src.id();
-      cell.src_pos = src.position();
+      cell.src = tx.src_id;
+      cell.src_pos = tx.src_pos;
       cell.channel = tx.channel;
       cell.b1 = (start / w + 1) * w;
       cell.b2 = std::max((end / w + 1) * w, cell.b1 + w);
@@ -171,138 +202,36 @@ void Medium::begin_tx(Radio& src, Frame f) {
   // Start receptions at every radio currently able to hear this frame —
   // O(neighbors), not O(all radios).
   for (const Neighbor& n : neighbors_of(src)) {
-    Radio* r = n.radio;
-    if (r->channel() != src.channel()) continue;
-    if (r->mode() != Mode::kListen || r->transmitting()) continue;
+    if (!listens_on(*n.radio, tx.channel)) continue;
     if (n.signal_dbm < prop_.config().sensitivity_dbm) continue;
-
-    // Collision handling: compare against receptions already in progress
-    // at this radio. The stronger signal survives only if it clears the
-    // capture margin; otherwise both are corrupted.
-    auto& list = rx_at_[r->medium_index_];
-    bool corrupted = false;
-    for (Reception& other : list) {
-      if (other.aborted) continue;
-      if (!radiates_at(other.tx_id, start)) continue;
-      const double margin = prop_.config().capture_db;
-      const bool new_wins = n.signal_dbm >= other.signal_dbm + margin;
-      const bool old_wins = other.signal_dbm >= n.signal_dbm + margin;
-      if (!old_wins) {
-        if (!other.corrupted) ++stats_.collisions;
-        other.corrupted = true;
-      }
-      if (!new_wins) {
-        if (!corrupted) ++stats_.collisions;
-        corrupted = true;
-      }
-    }
-    list.push_back(Reception{id, n.signal_dbm, corrupted, false});
-    tx.receivers.push_back(r);
+    mark_reception(tx, *n.radio, n.signal_dbm);
   }
-
-  active_.push_back(std::move(tx));
-  sched_.schedule_at(end, [this, id] { finish_tx(id); });
+  launch(std::move(tx));
 }
 
 void Medium::apply_remote(const CellTx& m) {
   ++stats_.cross_island_rx;
-  RemoteActive rt{next_remote_id_++, m.src,   m.src_pos,  m.channel,
-                  m.b1,              m.b2,    m.air_end,  m.frame,
-                  m.fault,           take_receivers()};
-  // A frame whose true airtime ended before this island's boundary
-  // radiates nothing here anymore — it only delivers at b2.
-  const bool radiates = m.air_end > m.b1;
-
-  // Mirror of begin_tx's reception marking, with the signal computed from
-  // the carried source position (the source radio lives on another
-  // island). Radios are visited in attach order, same as a neighbor list.
+  Airing ghost{next_remote_id_++, nullptr, m.src,   m.src_pos,
+               m.channel,         m.b1,    m.air_end, m.b2,
+               m.frame,           m.fault, 0,       take_receivers()};
+  // No neighbor cache covers an off-island source, so the signal comes
+  // from the carried source position. Radios are visited in attach
+  // order, same as a neighbor list.
   for (Radio* r : radios_) {
-    if (r->channel() != m.channel) continue;
-    if (r->mode() != Mode::kListen || r->transmitting()) continue;
-    const double sig =
-        prop_.rx_dbm(m.src, m.src_pos, r->id(), r->position());
+    if (!listens_on(*r, m.channel)) continue;
+    const double sig = prop_.rx_dbm(m.src, m.src_pos, r->id(), r->position());
     if (sig < prop_.config().sensitivity_dbm) continue;
-
-    auto& list = rx_at_[r->medium_index_];
-    bool corrupted = false;
-    for (Reception& other : list) {
-      if (other.aborted) continue;
-      if (!radiates || !radiates_at(other.tx_id, m.b1)) continue;
-      const double margin = prop_.config().capture_db;
-      const bool new_wins = sig >= other.signal_dbm + margin;
-      const bool old_wins = other.signal_dbm >= sig + margin;
-      if (!old_wins) {
-        if (!other.corrupted) ++stats_.collisions;
-        other.corrupted = true;
-      }
-      if (!new_wins) {
-        if (!corrupted) ++stats_.collisions;
-        corrupted = true;
-      }
-    }
-    list.push_back(Reception{rt.id, sig, corrupted, false});
-    rt.receivers.push_back(r);
+    mark_reception(ghost, *r, sig);
   }
-
-  const std::uint64_t id = rt.id;
-  remote_active_.push_back(std::move(rt));
-  sched_.schedule_at(m.b2, [this, id] { finish_remote(id); });
+  launch(std::move(ghost));
 }
 
 bool Medium::radiates_at(std::uint64_t rx_id, sim::Time t) const {
   if ((rx_id & kRemoteIdBit) == 0) return true;
-  for (const RemoteActive& rt : remote_active_) {
-    if (rt.id == rx_id) return t >= rt.b1 && t < rt.air_end;
+  for (const Airing& a : airings_) {
+    if (a.id == rx_id) return t >= a.start && t < a.air_end;
   }
   return false;  // ghost already finished; entries die with it anyway
-}
-
-void Medium::finish_remote(std::uint64_t id) {
-  auto it = std::find_if(remote_active_.begin(), remote_active_.end(),
-                         [id](const RemoteActive& t) { return t.id == id; });
-  if (it == remote_active_.end()) return;
-  RemoteActive rt = std::move(*it);
-  swap_remove(remote_active_, it);
-
-  // Delivery loop identical to finish_tx, minus tracing (per-island),
-  // firing at the quantized b2 rather than the true airtime end.
-  for (Radio* receiver : rt.receivers) {
-    auto& list = rx_at_[receiver->medium_index_];
-    double signal_dbm = 0.0;
-    bool dead = true;
-    for (std::size_t i = 0; i < list.size(); ++i) {
-      if (list[i].tx_id != rt.id) continue;
-      signal_dbm = list[i].signal_dbm;
-      dead = list[i].aborted || list[i].corrupted;
-      list[i] = list.back();
-      list.pop_back();
-      break;
-    }
-    if (dead || rt.fault.drop) continue;
-    // No receiver-state check here, unlike finish_tx: the true airtime
-    // ended at air_end, and any disturbance before that already aborted
-    // the reception. What the receiver does in the [air_end, b2) gap —
-    // pure quantization artifact — cannot un-receive the frame.
-    const double snr = signal_dbm - prop_.config().noise_floor_dbm;
-    if (!rng_.chance(Propagation::prr_from_snr(snr))) {
-      ++stats_.snr_losses;
-      continue;
-    }
-    if (rt.fault.delay > 0) {
-      sched_.schedule_after(
-          rt.fault.delay,
-          [this, to = receiver->id(), f = rt.frame, signal_dbm,
-           ch = rt.channel] { deliver_late(to, f, signal_dbm, ch); });
-      continue;
-    }
-    ++stats_.deliveries;
-    receiver->deliver(rt.frame, signal_dbm);
-    if (rt.fault.duplicate) {
-      ++stats_.deliveries;
-      receiver->deliver(rt.frame, signal_dbm);
-    }
-  }
-  recycle_receivers(std::move(rt.receivers));
 }
 
 void Medium::on_receiver_disturbed(Radio& r) {
@@ -316,98 +245,84 @@ void Medium::on_receiver_disturbed(Radio& r) {
 }
 
 bool Medium::channel_busy(const Radio& r) const {
-  if (active_.empty() && remote_active_.empty()) return false;
+  if (airings_.empty()) return false;
   const std::vector<Neighbor>& neigh = neighbors_of(r);
-  for (const ActiveTx& tx : active_) {
-    if (tx.channel != r.channel()) continue;
-    if (tx.src == &r) return true;
+  const sim::Time now = sched_.now();
+  for (const Airing& a : airings_) {
+    if (a.channel != r.channel()) continue;
+    if (a.src == &r) return true;
+    if (a.src == nullptr) {
+      // A ghost radiates only during [b1, air_end), and its (rare)
+      // cross-island budget is computed on the fly.
+      if (now >= a.start && now < a.air_end &&
+          prop_.rx_dbm(a.src_id, a.src_pos, r.id(), r.position()) >=
+              prop_.config().cca_threshold_dbm) {
+        return true;
+      }
+      continue;
+    }
     // A transmitter absent from the neighbor list is below
     // min(sensitivity, CCA) and therefore cannot trip energy detect.
     for (const Neighbor& n : neigh) {
-      if (n.radio == tx.src) {
+      if (n.radio == a.src) {
         if (n.signal_dbm >= prop_.config().cca_threshold_dbm) return true;
         break;
       }
     }
   }
-  // Ghost transmissions radiate energy only while their true airtime
-  // overlaps local visibility: [b1, air_end). No neighbor cache covers
-  // off-island sources, so the (rare) cross-island budget is computed on
-  // the fly.
-  const sim::Time now = sched_.now();
-  for (const RemoteActive& rt : remote_active_) {
-    if (rt.channel != r.channel()) continue;
-    if (now < rt.b1 || now >= rt.air_end) continue;
-    if (prop_.rx_dbm(rt.src, rt.src_pos, r.id(), r.position()) >=
-        prop_.config().cca_threshold_dbm) {
-      return true;
-    }
-  }
   return false;
 }
 
-void Medium::finish_tx(std::uint64_t tx_id) {
-  auto it = std::find_if(active_.begin(), active_.end(),
-                         [tx_id](const ActiveTx& t) { return t.id == tx_id; });
-  if (it == active_.end()) return;
-  ActiveTx tx = std::move(*it);
-  swap_remove(active_, it);
-  obs::Tracer* t = obs::tracer(sched_);
+void Medium::finish(std::uint64_t id) {
+  auto it = std::find_if(airings_.begin(), airings_.end(),
+                         [id](const Airing& a) { return a.id == id; });
+  if (it == airings_.end()) return;
+  Airing a = std::move(*it);
+  swap_remove(airings_, it);
+  // Ghosts emit no trace events: traces are per-island.
+  obs::Tracer* t = a.src != nullptr ? obs::tracer(sched_) : nullptr;
 
   // Deliver surviving receptions in creation order. Each entry is removed
   // from its receiver's list *before* any delivery callback runs, so a
   // handler that synchronously transmits or changes mode can neither
   // re-abort a consumed entry nor miss the not-yet-delivered ones.
-  for (Radio* receiver : tx.receivers) {
-    auto& list = rx_at_[receiver->medium_index_];
-    double signal_dbm = 0.0;
-    bool dead = true;
-    for (std::size_t i = 0; i < list.size(); ++i) {
-      if (list[i].tx_id != tx_id) continue;
-      signal_dbm = list[i].signal_dbm;
-      dead = list[i].aborted || list[i].corrupted;
-      list[i] = list.back();
-      list.pop_back();
-      break;
-    }
-    if (dead || tx.fault.drop) continue;
-    // Receiver must still be listening on the same channel.
-    if (receiver->mode() != Mode::kListen || receiver->transmitting() ||
-        receiver->channel() != tx.channel) {
+  for (Radio* receiver : a.receivers) {
+    const Reception rec = take_reception(*receiver, id);
+    if (rec.aborted || rec.corrupted || a.fault.drop) continue;
+    // A local frame's receiver must still be listening on its channel. A
+    // ghost's true airtime ended at air_end, and any disturbance before
+    // that already aborted the reception; what the receiver does in the
+    // [air_end, b2) gap — pure quantization artifact — cannot un-receive
+    // the frame.
+    if (a.src != nullptr && !listens_on(*receiver, a.channel)) {
       ++stats_.aborted;
       continue;
     }
-    const double snr = signal_dbm - prop_.config().noise_floor_dbm;
+    const double snr = rec.signal_dbm - prop_.config().noise_floor_dbm;
     if (!rng_.chance(Propagation::prr_from_snr(snr))) {
       ++stats_.snr_losses;
       continue;
     }
-    if (tx.fault.delay > 0) {
+    if (a.fault.delay > 0) {
       // Reordering fault: the frame arrives late, possibly after frames
       // transmitted afterwards. Lifetime-safe via id lookup at fire time.
       sched_.schedule_after(
-          tx.fault.delay,
-          [this, to = receiver->id(), f = tx.frame, signal_dbm,
-           ch = tx.channel] { deliver_late(to, f, signal_dbm, ch); });
+          a.fault.delay,
+          [this, to = receiver->id(), f = a.frame, dbm = rec.signal_dbm,
+           ch = a.channel] { deliver_late(to, f, dbm, ch); });
       continue;
     }
-    ++stats_.deliveries;
-    if (t != nullptr) {
-      t->instant(tx.frame.trace, receiver->id(), obs::Layer::kRadio, "rx",
-                 tx.obs_span);
-    }
-    receiver->deliver(tx.frame, signal_dbm);
-    if (tx.fault.duplicate) {
+    for (int copy = a.fault.duplicate ? 2 : 1; copy > 0; --copy) {
       ++stats_.deliveries;
       if (t != nullptr) {
-        t->instant(tx.frame.trace, receiver->id(), obs::Layer::kRadio, "rx",
-                   tx.obs_span);
+        t->instant(a.frame.trace, receiver->id(), obs::Layer::kRadio, "rx",
+                   a.obs_span);
       }
-      receiver->deliver(tx.frame, signal_dbm);
+      receiver->deliver(a.frame, rec.signal_dbm);
     }
   }
-  if (t != nullptr) t->end(tx.obs_span);
-  recycle_receivers(std::move(tx.receivers));
+  if (t != nullptr) t->end(a.obs_span);
+  recycle_receivers(std::move(a.receivers));
 }
 
 void Medium::deliver_late(NodeId to, const Frame& f, double signal_dbm,
@@ -415,8 +330,7 @@ void Medium::deliver_late(NodeId to, const Frame& f, double signal_dbm,
   for (Radio* r : radios_) {
     if (r->id() != to) continue;
     // The late frame is only hearable if the radio still listens there.
-    if (r->mode() != Mode::kListen || r->transmitting() ||
-        r->channel() != channel) {
+    if (!listens_on(*r, channel)) {
       ++stats_.aborted;
       return;
     }
@@ -457,52 +371,28 @@ std::string Medium::check_consistency() const {
     return false;
   };
 
-  for (const ActiveTx& tx : active_) {
-    if (tx.end < tx.start) {
-      return fail("tx " + std::to_string(tx.id) + " ends before it starts");
+  for (const Airing& a : airings_) {
+    auto tx = [&a] {
+      return (a.src != nullptr ? "tx " : "ghost tx ") +
+             std::to_string(a.id & ~kRemoteIdBit);
+    };
+    if (a.end < a.start) return fail(tx() + " ends before it starts");
+    if (a.air_end > a.end) {
+      return fail(tx() + " radiates past its delivery boundary");
     }
-    if (!attached(tx.src)) {
-      return fail("tx " + std::to_string(tx.id) + " sourced by detached radio");
+    if (a.src != nullptr && !attached(a.src)) {
+      return fail(tx() + " sourced by detached radio");
     }
-    for (const Radio* rcv : tx.receivers) {
-      if (!attached(rcv)) {
-        return fail("tx " + std::to_string(tx.id) +
-                    " lists a detached receiver");
-      }
+    for (const Radio* rcv : a.receivers) {
+      if (!attached(rcv)) return fail(tx() + " lists a detached receiver");
       std::size_t hits = 0;
       for (const Reception& rec : rx_at_[rcv->medium_index_]) {
-        if (rec.tx_id == tx.id) ++hits;
+        if (rec.tx_id == a.id) ++hits;
       }
       if (hits != 1) {
-        return fail("tx " + std::to_string(tx.id) + " has " +
-                    std::to_string(hits) + " receptions at radio " +
-                    std::to_string(rcv->id()) + ", expected 1");
-      }
-    }
-  }
-
-  for (const RemoteActive& rt : remote_active_) {
-    if (rt.b2 < rt.b1) {
-      return fail("ghost tx " + std::to_string(rt.id & ~kRemoteIdBit) +
-                  " ends before it starts");
-    }
-    if (rt.air_end > rt.b2) {
-      return fail("ghost tx " + std::to_string(rt.id & ~kRemoteIdBit) +
-                  " radiates past its delivery boundary");
-    }
-    for (const Radio* rcv : rt.receivers) {
-      if (!attached(rcv)) {
-        return fail("ghost tx " + std::to_string(rt.id & ~kRemoteIdBit) +
-                    " lists a detached receiver");
-      }
-      std::size_t hits = 0;
-      for (const Reception& rec : rx_at_[rcv->medium_index_]) {
-        if (rec.tx_id == rt.id) ++hits;
-      }
-      if (hits != 1) {
-        return fail("ghost tx " + std::to_string(rt.id & ~kRemoteIdBit) +
-                    " has " + std::to_string(hits) + " receptions at radio " +
-                    std::to_string(rcv->id()) + ", expected 1");
+        return fail(tx() + " has " + std::to_string(hits) +
+                    " receptions at radio " + std::to_string(rcv->id()) +
+                    ", expected 1");
       }
     }
   }
@@ -510,11 +400,8 @@ std::string Medium::check_consistency() const {
   for (std::size_t i = 0; i < rx_at_.size(); ++i) {
     for (const Reception& rec : rx_at_[i]) {
       const std::vector<Radio*>* owner_receivers = nullptr;
-      for (const ActiveTx& tx : active_) {
-        if (tx.id == rec.tx_id) owner_receivers = &tx.receivers;
-      }
-      for (const RemoteActive& rt : remote_active_) {
-        if (rt.id == rec.tx_id) owner_receivers = &rt.receivers;
+      for (const Airing& a : airings_) {
+        if (a.id == rec.tx_id) owner_receivers = &a.receivers;
       }
       if (owner_receivers == nullptr) {
         return fail("radio " + std::to_string(radios_[i]->id()) +

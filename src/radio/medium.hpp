@@ -19,7 +19,7 @@
 //     reception-abort scans touch only the handful of frames in the air
 //     at that one radio, never a global list.
 //   * Determinism: neighbor lists preserve attach order, and every
-//     ActiveTx records its receivers in creation order, so the delivery
+//     Airing records its receivers in creation order, so the delivery
 //     RNG stream is bit-for-bit identical to a naive full scan.
 #pragma once
 
@@ -104,9 +104,10 @@ class Medium {
   [[nodiscard]] Propagation& propagation() { return prop_; }
   [[nodiscard]] const MediumStats& stats() const { return stats_; }
   [[nodiscard]] sim::Scheduler& scheduler() { return sched_; }
-  /// Transmissions currently on the air (test harnesses time detach/churn
-  /// events against this to hit the interesting interleavings).
-  [[nodiscard]] std::size_t in_flight() const { return active_.size(); }
+  /// Transmissions currently on the air, ghosts included (test harnesses
+  /// time detach/churn events against this to hit the interesting
+  /// interleavings).
+  [[nodiscard]] std::size_t in_flight() const { return airings_.size(); }
 
   /// Expected PRR of the a→b link (for tests and topology construction).
   [[nodiscard]] double link_prr(const Radio& a, const Radio& b) const {
@@ -145,11 +146,6 @@ class Medium {
   /// Ghosts deliberately emit no trace events: traces are per-island.
   void apply_remote(const CellTx& m);
 
-  /// Ghost transmissions currently registered (tests).
-  [[nodiscard]] std::size_t remote_in_flight() const {
-    return remote_active_.size();
-  }
-
   /// Cross-checks the medium's internal bookkeeping: dense index maps,
   /// reception lists vs. active transmissions, receiver liveness. Returns
   /// an empty string when consistent, else a description of the first
@@ -177,33 +173,25 @@ class Medium {
     bool aborted = false;
   };
 
-  struct ActiveTx {
+  /// One transmission on the air at this medium, from begin_tx() or
+  /// apply_remote() until its delivery. A null `src` marks a ghost: a
+  /// cross-island transmission whose source radio lives on another island
+  /// (start = b1, end = b2). Ghost ids carry kRemoteIdBit, which keeps
+  /// their reception entries disjoint from local tx ids in rx_at_.
+  struct Airing {
     std::uint64_t id;
-    Radio* src;
+    Radio* src;  // nullptr: ghost
+    NodeId src_id;
+    Position src_pos;
     ChannelId channel;
-    sim::Time start;
-    sim::Time end;
+    sim::Time start;    // collisions are judged here
+    sim::Time air_end;  // interference stops here (end, for local frames)
+    sim::Time end;      // delivery
     Frame frame;
     FaultDecision fault;
     obs::SpanRef obs_span = 0;  // radio "tx" span covering the airtime
-    /// Receivers with a reception for this tx, in creation order — the
-    /// order the delivery loop (and thus the delivery RNG) follows.
-    std::vector<Radio*> receivers;
-  };
-
-  /// A cross-island transmission being replayed locally. Lives from
-  /// apply_remote() until its delivery at b2. The high id bit keeps ghost
-  /// reception entries disjoint from local tx ids in rx_at_.
-  struct RemoteActive {
-    std::uint64_t id;
-    NodeId src;
-    Position src_pos;
-    ChannelId channel;
-    sim::Time b1;
-    sim::Time b2;
-    sim::Time air_end;  // interference stops here; delivery still at b2
-    Frame frame;
-    FaultDecision fault;
+    /// Receivers with a reception for this airing, in creation order —
+    /// the order the delivery loop (and thus the delivery RNG) follows.
     std::vector<Radio*> receivers;
   };
 
@@ -244,15 +232,35 @@ class Medium {
   /// Radio API: instantaneous energy detect at `r`.
   [[nodiscard]] bool channel_busy(const Radio& r) const;
 
-  void finish_tx(std::uint64_t tx_id);
-  void finish_remote(std::uint64_t id);
+  /// Starts a reception of `a` at `r`, applying the capture rule against
+  /// the receptions in progress there that radiate at a.start: the
+  /// stronger signal survives only if it clears the capture margin,
+  /// otherwise both are corrupted. A ghost whose airtime ended by its
+  /// boundary (air_end <= start) takes part in no collision.
+  void mark_reception(Airing& a, Radio& r, double signal_dbm);
 
-  /// Receiver lists are recycled: a finished transmission hands its
-  /// cleared list (capacity kept) to spare_receivers_, and the next
+  /// Removes airing `id`'s reception at `r` and returns it; a missing
+  /// entry reads as aborted.
+  Reception take_reception(const Radio& r, std::uint64_t id);
+
+  /// Registers `a` and schedules its delivery at a.end.
+  void launch(Airing&& a);
+
+  /// Delivers the surviving receptions of airing `id`.
+  void finish(std::uint64_t id);
+
+  /// True iff `r` can take a frame on `channel` right now.
+  [[nodiscard]] static bool listens_on(const Radio& r, ChannelId channel) {
+    return r.mode() == Mode::kListen && !r.transmitting() &&
+           r.channel() == channel;
+  }
+
+  /// Receiver lists are recycled: a finished airing hands its cleared
+  /// list (capacity kept) to spare_receivers_, and the next
   /// begin_tx/apply_remote takes one back, so steady-state transmissions
   /// never grow a fresh vector. A list is taken before any reception is
   /// marked and returned only after the last delivery callback, so a
-  /// handler that transmits from inside finish_tx takes a different one.
+  /// handler that transmits from inside finish takes a different one.
   [[nodiscard]] std::vector<Radio*> take_receivers();
   void recycle_receivers(std::vector<Radio*>&& list);
 
@@ -278,8 +286,7 @@ class Medium {
   MediumStats stats_;
   std::vector<Radio*> radios_;
   std::uint64_t next_tx_id_ = 1;
-  std::vector<ActiveTx> active_;
-  std::vector<RemoteActive> remote_active_;
+  std::vector<Airing> airings_;
   std::vector<std::vector<Radio*>> spare_receivers_;  // cleared, for reuse
   std::uint64_t next_remote_id_ = kRemoteIdBit | 1;
   Interchange* island_ix_ = nullptr;        // island gateway (nullptr = off)

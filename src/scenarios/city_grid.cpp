@@ -75,7 +75,8 @@ double meter_reading(std::size_t i, std::uint32_t seq) {
 }
 
 /// Steps the world in 1 s chunks, auditing every island medium's
-/// bookkeeping at each boundary (the IslandWorld analogue of Stepper).
+/// bookkeeping at each boundary (the IslandWorld analogue of
+/// testing::Checkpointer).
 std::string advance(pdes::IslandWorld& world, sim::Time to) {
   while (world.now() < to) {
     world.run_until(std::min<sim::Time>(to, world.now() + 1'000'000));

@@ -220,7 +220,7 @@ ShardResult run_shard(const RunParams& p, std::size_t shard) {
   // ---- run ------------------------------------------------------------
   ShardResult r;
   r.nodes = n;
-  Stepper cp{sched, medium, nullptr, 0};
+  testing::Checkpointer cp{sched, medium, nullptr};
   if (auto v = cp.advance(end); !v.empty()) {
     r.failure = "factory_line: " + v;
     return r;

@@ -155,7 +155,7 @@ ShardResult run_shard(const RunParams& p, std::size_t shard) {
   // ---- formation ------------------------------------------------------
   ShardResult r;
   r.nodes = n;
-  Stepper cp{sched, medium, &net, 0};
+  testing::Checkpointer cp{sched, medium, &net};
   const sim::Time form = 60'000'000;
   if (auto v = cp.advance(form); !v.empty()) {
     r.failure = "hvac_fleet: formation: " + v;

@@ -112,7 +112,7 @@ ShardResult run_shard(const RunParams& p, std::size_t shard) {
   // ---- formation ------------------------------------------------------
   ShardResult r;
   r.nodes = n;
-  Stepper cp{sched, medium, &net, 0};
+  testing::Checkpointer cp{sched, medium, &net};
   const sim::Duration form = 25'000'000 + (n / 10) * 5'000'000;
   if (auto v = cp.advance(form); !v.empty()) {
     r.failure = "mine_tunnel: formation: " + v;

@@ -142,7 +142,7 @@ ShardResult run_shard(const RunParams& p, std::size_t shard) {
   // ---- formation ------------------------------------------------------
   ShardResult r;
   r.nodes = n;
-  Stepper cp{sched, medium, &net, 0};
+  testing::Checkpointer cp{sched, medium, &net};
   if (auto v = cp.advance(25'000'000); !v.empty()) {
     r.failure = "mobile_yard: formation: " + v;
     return r;

@@ -1,21 +1,18 @@
 // Shared world-building helpers for the curated scenarios (internal to
-// src/scenarios/). Mirrors the fuzzer's harness idioms — checkpointed
-// advancing with medium audits, a root-side delivery ledger — but carries
-// timestamps and values in the payload so scenarios can report end-to-end
-// latency and feed the backend tier.
+// src/scenarios/). Mirrors the fuzzer's root-side delivery ledger but
+// carries timestamps and values in the payload so scenarios can report
+// end-to-end latency and feed the backend tier. Checkpointed advancing
+// is testing::Checkpointer, shared with the fuzzer.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <unordered_set>
 #include <vector>
 
 #include "core/network.hpp"
-#include "radio/medium.hpp"
 #include "sim/scheduler.hpp"
-#include "testing/invariants.hpp"
+#include "testing/checkpointer.hpp"
 
 namespace iiot::scenarios::detail {
 
@@ -93,28 +90,6 @@ struct Ledger {
     }
     latencies_us.push_back(static_cast<double>(now - sent));
     if (sink) sink(origin, value, sent);
-  }
-};
-
-/// Steps the world in 1 s chunks, auditing medium bookkeeping at every
-/// boundary; routing loops are counted, not asserted (transient loops
-/// are legitimate while rank updates propagate).
-struct Stepper {
-  sim::Scheduler& sched;
-  radio::Medium& medium;
-  core::MeshNetwork* mesh = nullptr;
-  std::uint64_t transient_loops = 0;
-
-  [[nodiscard]] std::string advance(sim::Time to) {
-    while (sched.now() < to) {
-      sched.run_until(std::min<sim::Time>(to, sched.now() + 1'000'000));
-      if (auto v = medium.check_consistency(); !v.empty()) return v;
-      if (mesh != nullptr &&
-          !testing::check_routing_acyclic(*mesh).empty()) {
-        ++transient_loops;
-      }
-    }
-    return {};
   }
 };
 

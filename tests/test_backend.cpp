@@ -286,7 +286,8 @@ TEST(HashRing, RemovalOnlyMovesRemovedNodesKeys) {
   for (int i = 0; i < 6; ++i) ring.add_node("node-" + std::to_string(i));
   std::map<std::string, std::string> before;
   for (int i = 0; i < 2'000; ++i) {
-    const std::string key = "k" + std::to_string(i);
+    std::string key = "k";
+    key += std::to_string(i);
     before[key] = *ring.owner(key);
   }
   ring.remove_node("node-3");
@@ -312,15 +313,17 @@ TEST(HashRing, AddOnlyClaimsKeysFromExistingNodes) {
   ring.add_node("b");
   std::map<std::string, std::string> before;
   for (int i = 0; i < 2'000; ++i) {
-    const std::string key = "k" + std::to_string(i);
+    std::string key = "k";
+    key += std::to_string(i);
     before[key] = *ring.owner(key);
   }
   ring.add_node("c");
   int claimed = 0;
   for (const auto& [key, owner] : before) {
-    const auto now = *ring.owner(key);
-    if (now != owner) {
-      EXPECT_EQ(now, "c") << "key moved between surviving nodes: " << key;
+    const auto now = ring.owner(key);
+    ASSERT_TRUE(now.has_value());
+    if (*now != owner) {
+      EXPECT_EQ(*now, "c") << "key moved between surviving nodes: " << key;
       ++claimed;
     }
   }

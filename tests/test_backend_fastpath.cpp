@@ -188,7 +188,8 @@ TEST(TopicBusDifferential, DeliveryOrderMatchesSeedBus) {
       live.erase(live.begin() + static_cast<std::ptrdiff_t>(k));
     } else {
       const std::string& t = topics[rng.below(topics.size())];
-      const std::string payload = "p" + std::to_string(op);
+      std::string payload = "p";
+      payload += std::to_string(op);
       fast.publish(t, payload);
       ref.publish(t, payload);
     }

@@ -2,6 +2,7 @@
 // gateway's CoAP + bus integration (paper §III, bench E12).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
 #include "backend/rules.hpp"
@@ -290,11 +291,16 @@ TEST(GattDevice, GarbageFuzzAlwaysAnswersBounded) {
 }
 
 Buffer vendor_frame(std::uint8_t cmd, Buffer tlvs) {
-  Buffer f{0xA5, cmd, static_cast<std::uint8_t>(tlvs.size())};
-  f.insert(f.end(), tlvs.begin(), tlvs.end());
+  // Sized once and filled in place: growing a 3-byte initializer list
+  // makes GCC 12 warn falsely (-Warray-bounds).
+  Buffer f(tlvs.size() + 4);
+  f[0] = 0xA5;
+  f[1] = cmd;
+  f[2] = static_cast<std::uint8_t>(tlvs.size());
+  std::copy(tlvs.begin(), tlvs.end(), f.begin() + 3);
   std::uint8_t x = 0;
-  for (std::uint8_t v : f) x ^= v;
-  f.push_back(x);
+  for (std::size_t i = 0; i + 1 < f.size(); ++i) x ^= f[i];
+  f.back() = x;
   return f;
 }
 

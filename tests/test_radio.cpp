@@ -450,7 +450,7 @@ TEST_F(RadioTest, HandlerTransmittingInsideDeliveryTakesASpareList) {
   record_deliveries(*sq.b, sched, log);
   record_deliveries(*sq.c, sched, log);
   record_deliveries(*sq.d, sched, log, [&](const Frame& f) {
-    // Synchronous reply from inside finish_tx, while the frame being
+    // Synchronous reply from inside finish, while the frame being
     // delivered still holds its receiver list and E is yet to be served.
     if (f.seq == 1) {
       EXPECT_TRUE(sq.d->radio.transmit(seq_frame(4, kBroadcastNode, 100),
@@ -572,7 +572,7 @@ TEST_F(RadioTest, GhostOnIslandMediumRecyclesItsList) {
   // Ghosts are applied at a window boundary no later than their b1.
   a.radio.transmit(seq_frame(1, kBroadcastNode, 0), nullptr);
   apply_ghosts();
-  EXPECT_EQ(island1.remote_in_flight(), 1u);
+  EXPECT_EQ(island1.in_flight(), 1u);
   EXPECT_EQ(island1.check_consistency(), "");
   sched.schedule_at(10'000, [&] {
     a.radio.transmit(seq_frame(1, 3, 1), nullptr);
@@ -587,7 +587,7 @@ TEST_F(RadioTest, GhostOnIslandMediumRecyclesItsList) {
   probe_consistency(sched, island1, 0, 25'000);
   sched.run_all();
 
-  EXPECT_EQ(island1.remote_in_flight(), 0u);
+  EXPECT_EQ(island1.in_flight(), 0u);
   EXPECT_EQ(island1.stats().cross_island_rx, 2u);
   EXPECT_EQ(medium.check_consistency(), "");
   EXPECT_EQ(island1.check_consistency(), "");
@@ -597,6 +597,209 @@ TEST_F(RadioTest, GhostOnIslandMediumRecyclesItsList) {
                                            {3, 1, 1, 12000},
                                            {2, 3, 2, 21184}};
   EXPECT_EQ(log, reference);
+}
+
+// ------------------------------------------------------- ghost rules
+//
+// A ghost replays a transmission from another island (DESIGN.md §4i). It
+// shares the medium's physics with local frames but differs in three
+// rules: it interferes (collisions, CCA, receiver disturbance) only
+// during [b1, air_end); a receiver that stops listening in [air_end, b2)
+// still gets it; and its fault verdict was drawn, and counted, at the
+// source island. These cases drive apply_remote() directly with
+// hand-built snapshots on the fixture's plain medium.
+
+constexpr NodeId kGhostSrc = 99;
+
+CellTx ghost(Position src_pos, std::uint16_t seq, Time b1, Time air_end,
+             Time b2, FaultDecision fault = {}) {
+  CellTx m;
+  m.src = kGhostSrc;
+  m.src_pos = src_pos;
+  m.channel = 11;  // every radio's default channel
+  m.b1 = b1;
+  m.b2 = b2;
+  m.air_end = air_end;
+  m.frame = seq_frame(kGhostSrc, kBroadcastNode, seq);
+  m.fault = fault;
+  return m;
+}
+
+/// Applies `m` at `at`, as the island window loop does at a boundary.
+void apply_at(Scheduler& sched, Medium& medium, Time at, CellTx m) {
+  sched.schedule_at(at, [&medium, m = std::move(m)] {
+    medium.apply_remote(m);
+  });
+}
+
+TEST_F(RadioTest, GhostCapturesOverAWeakLocalFrame) {
+  TestNode rx(medium, sched, 1, {0, 0});
+  TestNode weak(medium, sched, 2, {20, 0});
+  weak.radio.set_mode(Mode::kListen);
+  std::vector<Delivery> log;
+  record_deliveries(rx, sched, log);
+
+  apply_at(sched, medium, 1'000, ghost({2, 0}, 7, 1'000, 2'500, 3'000));
+  sched.schedule_at(1'100, [&] {
+    weak.radio.transmit(seq_frame(2, kBroadcastNode, 1), nullptr);
+  });
+  probe_consistency(sched, medium, 0, 4'000);
+  sched.run_all();
+
+  EXPECT_EQ(log, (std::vector<Delivery>{{1, kGhostSrc, 7, 3'000}}));
+  EXPECT_EQ(medium.stats().collisions, 1u);
+  EXPECT_EQ(medium.check_consistency(), "");
+}
+
+TEST_F(RadioTest, LocalFrameCapturesOverAWeakGhost) {
+  TestNode rx(medium, sched, 1, {0, 0});
+  TestNode strong(medium, sched, 2, {2, 0});
+  strong.radio.set_mode(Mode::kListen);
+  std::vector<Delivery> log;
+  record_deliveries(rx, sched, log);
+
+  sched.schedule_at(500, [&] {
+    strong.radio.transmit(seq_frame(2, kBroadcastNode, 1), nullptr);
+  });
+  apply_at(sched, medium, 1'000, ghost({20, 0}, 7, 1'000, 2'500, 3'000));
+  probe_consistency(sched, medium, 0, 4'000);
+  sched.run_all();
+
+  EXPECT_EQ(log, (std::vector<Delivery>{{1, 2, 1, 1'684}}));
+  EXPECT_EQ(medium.stats().collisions, 1u);
+}
+
+TEST_F(RadioTest, GhostAndLocalFrameOfEqualStrengthCorruptEachOther) {
+  TestNode rx(medium, sched, 1, {0, 0});
+  TestNode peer(medium, sched, 2, {10, 0});
+  peer.radio.set_mode(Mode::kListen);
+  std::vector<Delivery> log;
+  record_deliveries(rx, sched, log);
+
+  apply_at(sched, medium, 1'000, ghost({-10, 0}, 7, 1'000, 2'500, 3'000));
+  sched.schedule_at(2'000, [&] {
+    peer.radio.transmit(seq_frame(2, kBroadcastNode, 1), nullptr);
+  });
+  sched.run_all();
+
+  EXPECT_TRUE(log.empty());
+  EXPECT_EQ(medium.stats().collisions, 2u);
+}
+
+TEST_F(RadioTest, GhostWhoseAirtimeEndedBeforeItsBoundaryNeverCollides) {
+  TestNode rx(medium, sched, 1, {0, 0});
+  TestNode before(medium, sched, 2, {10, 0});
+  TestNode after(medium, sched, 3, {0, 10});
+  before.radio.set_mode(Mode::kListen);
+  after.radio.set_mode(Mode::kListen);
+  std::vector<Delivery> log;
+  record_deliveries(rx, sched, log);
+
+  // Equal signal strengths at rx: any overlap that counted would corrupt
+  // both frames. The ghost's airtime ended at 900, before b1 = 1000.
+  sched.schedule_at(500, [&] {
+    before.radio.transmit(seq_frame(2, kBroadcastNode, 1), nullptr);
+  });
+  apply_at(sched, medium, 1'000, ghost({-10, 0}, 7, 1'000, 900, 2'000));
+  sched.schedule_at(1'700, [&] {
+    after.radio.transmit(seq_frame(3, kBroadcastNode, 2), nullptr);
+  });
+  probe_consistency(sched, medium, 0, 3'000);
+  sched.run_all();
+
+  EXPECT_EQ(log, (std::vector<Delivery>{{1, 2, 1, 1'684},
+                                        {1, kGhostSrc, 7, 2'000},
+                                        {1, 3, 2, 2'884}}));
+  EXPECT_EQ(medium.stats().collisions, 0u);
+}
+
+TEST_F(RadioTest, GhostReachesAReceiverThatStopsListeningAfterItsAirtime) {
+  TestNode late(medium, sched, 1, {0, 0});
+  TestNode early(medium, sched, 2, {0, 5});
+  std::vector<Delivery> log;
+  record_deliveries(late, sched, log);
+  record_deliveries(early, sched, log);
+
+  apply_at(sched, medium, 1'000, ghost({10, 0}, 7, 1'000, 2'000, 3'000));
+  // Inside [air_end, b2) the frame has already been received in full;
+  // inside [b1, air_end) sleeping aborts it, as for a local frame.
+  sched.schedule_at(2'500, [&] { late.radio.set_mode(Mode::kSleep); });
+  sched.schedule_at(1'500, [&] { early.radio.set_mode(Mode::kSleep); });
+  sched.run_all();
+
+  EXPECT_EQ(log, (std::vector<Delivery>{{1, kGhostSrc, 7, 3'000}}));
+  EXPECT_EQ(medium.stats().aborted, 1u);
+}
+
+TEST_F(RadioTest, GhostBusiesCcaOnlyBetweenItsBoundaryAndAirtimeEnd) {
+  TestNode rx(medium, sched, 1, {0, 0});
+  rx.radio.set_mode(Mode::kListen);
+
+  // Applied before b1, as a window boundary may precede it.
+  medium.apply_remote(ghost({10, 0}, 7, 1'000, 2'000, 3'000));
+  // Above sensitivity but below the CCA threshold: never busy.
+  apply_at(sched, medium, 4'000, ghost({40, 0}, 8, 4'000, 5'000, 6'000));
+  std::vector<std::pair<Time, bool>> probes;
+  for (Time t : {0, 999, 1'000, 1'999, 2'000, 2'999, 4'500}) {
+    sched.schedule_at(t, [&, t] {
+      probes.emplace_back(t, rx.radio.cca_clear());
+    });
+  }
+  sched.run_all();
+
+  const std::vector<std::pair<Time, bool>> expected = {
+      {0, true},      {999, true},   {1'000, false}, {1'999, false},
+      {2'000, true}, {2'999, true}, {4'500, true}};
+  EXPECT_EQ(probes, expected);
+}
+
+TEST_F(RadioTest, ReceiverDetachingWithLiveGhostReceptionStaysConsistent) {
+  Square sq(medium, sched);
+  std::vector<Delivery> log;
+  record_deliveries(*sq.a, sched, log);
+  record_deliveries(*sq.b, sched, log);
+  record_deliveries(*sq.c, sched, log);
+  record_deliveries(*sq.d, sched, log);
+
+  apply_at(sched, medium, 1'000, ghost({5, -10}, 7, 1'000, 2'500, 3'000));
+  // C leaves while the ghost radiates, D after its airtime, before b2.
+  sched.schedule_at(1'500, [&] { sq.c.reset(); });
+  sched.schedule_at(2'700, [&] { sq.d.reset(); });
+  probe_consistency(sched, medium, 0, 4'000);
+  sched.run_all();
+
+  EXPECT_EQ(medium.check_consistency(), "");
+  EXPECT_EQ(log, (std::vector<Delivery>{{1, kGhostSrc, 7, 3'000},
+                                        {2, kGhostSrc, 7, 3'000}}));
+}
+
+TEST_F(RadioTest, GhostsObeyTheFaultVerdictTheyCarry) {
+  TestNode rx(medium, sched, 1, {0, 0});
+  std::vector<Delivery> log;
+  record_deliveries(rx, sched, log);
+
+  FaultDecision drop;
+  drop.drop = true;
+  FaultDecision dup;
+  dup.duplicate = true;
+  FaultDecision delay;
+  delay.delay = 5'000;
+  apply_at(sched, medium, 1'000,
+           ghost({10, 0}, 1, 1'000, 2'000, 3'000, drop));
+  apply_at(sched, medium, 4'000,
+           ghost({10, 0}, 2, 4'000, 5'000, 6'000, dup));
+  apply_at(sched, medium, 7'000,
+           ghost({10, 0}, 3, 7'000, 8'000, 9'000, delay));
+  sched.run_all();
+
+  EXPECT_EQ(log, (std::vector<Delivery>{{1, kGhostSrc, 2, 6'000},
+                                        {1, kGhostSrc, 2, 6'000},
+                                        {1, kGhostSrc, 3, 14'000}}));
+  EXPECT_EQ(medium.stats().deliveries, 3u);
+  // The verdict was drawn and counted where the frame was transmitted.
+  EXPECT_EQ(medium.stats().fault_drops, 0u);
+  EXPECT_EQ(medium.stats().fault_dups, 0u);
+  EXPECT_EQ(medium.stats().fault_delays, 0u);
 }
 
 // ---- determinism regression ------------------------------------------

@@ -127,12 +127,14 @@ TEST(Runner, SerialEngineNestsFine) {
 
 TEST(Runner, MapCollectsSlots) {
   runner::Engine eng(4);
-  const std::vector<std::string> out = runner::map<std::string>(
-      eng, 6, [](std::size_t i) { return "v" + std::to_string(i); });
-  ASSERT_EQ(out.size(), 6u);
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    EXPECT_EQ(out[i], "v" + std::to_string(i));
-  }
+  const std::vector<std::string> out =
+      runner::map<std::string>(eng, 6, [](std::size_t i) {
+        std::string s = "v";
+        s += std::to_string(i);
+        return s;
+      });
+  EXPECT_EQ(out, (std::vector<std::string>{"v0", "v1", "v2", "v3", "v4",
+                                           "v5"}));
 }
 
 // ---- determinism contract on the real workload ------------------------
