@@ -157,4 +157,47 @@ int MeshNetwork::depth_estimate(std::size_t i) const {
   return std::max(1, r.rank() / net::kMinHopRankIncrease - 1);
 }
 
+TdmaStation::TdmaStation(radio::Medium& medium, sim::Scheduler& sched,
+                         NodeId id, radio::Position pos, Rng rng,
+                         const mac::TdmaConfig& cfg)
+    : radio(medium, sched, id, pos, meter), mac(radio, sched, rng, 0, cfg) {}
+
+TdmaLine::TdmaLine(sim::Scheduler& sched, radio::Medium& medium,
+                   std::uint64_t seed, std::size_t n, double spacing,
+                   const mac::TdmaConfig& cfg) {
+  stations_.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    stations_.push_back(std::make_unique<TdmaStation>(
+        medium, sched, static_cast<NodeId>(i),
+        radio::Position{static_cast<double>(i) * spacing, 0.0},
+        Rng(seed, 60 + static_cast<std::uint64_t>(i)), cfg));
+    mac::TdmaSchedule s;
+    s.parent = i == 0 ? kInvalidNode : static_cast<NodeId>(i - 1);
+    s.depth = static_cast<int>(i);
+    s.max_depth = static_cast<int>(n - 1);
+    s.has_children = i + 1 < n;
+    stations_.back()->mac.configure(s);
+  }
+}
+
+void TdmaLine::start(mac::ReceiveHandler sink) {
+  for (std::size_t i = 0; i < stations_.size(); ++i) {
+    mac::TdmaMac& m = stations_[i]->mac;
+    if (i == 0) {
+      m.set_receive_handler(std::move(sink));
+    } else {
+      m.set_receive_handler([&m, parent = static_cast<NodeId>(i - 1)](
+                                NodeId, BytesView p, double) {
+        m.send(parent, Buffer(p.begin(), p.end()));
+      });
+    }
+    m.start();
+  }
+}
+
+bool TdmaLine::send_up(std::size_t i, Buffer payload) {
+  return stations_[i]->mac.send(static_cast<NodeId>(i - 1),
+                                std::move(payload));
+}
+
 }  // namespace iiot::core

@@ -1,6 +1,7 @@
-// Mesh network builder: assembles complete sensing-and-actuation-layer
-// nodes (energy meter + radio + MAC + RPL routing) on one shared medium,
-// with the topology generators every bench and example uses.
+// Network builders: MeshNetwork assembles complete sensing-and-actuation
+// layer nodes (energy meter + radio + MAC + RPL routing) on one shared
+// medium, with the topology generators every bench and example uses;
+// TdmaLine assembles the TDMA collection line, which has no routing layer.
 #pragma once
 
 #include <functional>
@@ -13,6 +14,7 @@
 #include "mac/lpl.hpp"
 #include "mac/mac.hpp"
 #include "mac/rimac.hpp"
+#include "mac/tdma.hpp"
 #include "net/rpl.hpp"
 #include "radio/medium.hpp"
 #include "radio/radio.hpp"
@@ -112,6 +114,40 @@ class MeshNetwork {
   NodeId id_base_ = 0;
   std::size_t root_index_ = 0;
   std::vector<std::unique_ptr<MeshNode>> nodes_;
+};
+
+/// One station of a TdmaLine.
+struct TdmaStation {
+  TdmaStation(radio::Medium& medium, sim::Scheduler& sched, NodeId id,
+              radio::Position pos, Rng rng, const mac::TdmaConfig& cfg);
+
+  energy::Meter meter;
+  radio::Radio radio;
+  mac::TdmaMac mac;
+};
+
+/// A TDMA collection line 0 <- 1 <- ... <- n-1 on a shared medium:
+/// station i has id i, sits at (i * spacing, 0), draws from
+/// Rng(seed, 60 + i) and sends to station i - 1 in the staggered
+/// schedule's slot. TDMA has no routing layer, so this is its whole
+/// composition: each station forwards what it receives to its parent.
+class TdmaLine {
+ public:
+  TdmaLine(sim::Scheduler& sched, radio::Medium& medium, std::uint64_t seed,
+           std::size_t n, double spacing, const mac::TdmaConfig& cfg);
+
+  /// Installs the forwarders (station 0 hands what reaches it to `sink`)
+  /// and starts every MAC, in station order.
+  void start(mac::ReceiveHandler sink);
+  /// Queues `payload` at station `i` (>= 1) for its parent; false when
+  /// the MAC queue is full.
+  bool send_up(std::size_t i, Buffer payload);
+
+  [[nodiscard]] std::size_t size() const { return stations_.size(); }
+  [[nodiscard]] TdmaStation& station(std::size_t i) { return *stations_.at(i); }
+
+ private:
+  std::vector<std::unique_ptr<TdmaStation>> stations_;
 };
 
 }  // namespace iiot::core

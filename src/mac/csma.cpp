@@ -106,19 +106,8 @@ void CsmaMac::on_frame(const radio::Frame& f, double rssi) {
   if (f.dst != radio_.id() && !f.broadcast()) return;
 
   if (!f.broadcast()) {
-    // Ack after turnaround; best-effort (radio may be mid-TX). The closure
-    // carries only what the ack needs and builds the frame when it fires:
-    // a captured Frame would overflow sim::Callback's inline buffer and
-    // allocate on every received unicast.
-    sched_.schedule_after(kTurnaround, [this, dst = f.src, seq = f.seq,
-                                        trace = f.trace] {
-      if (running_ && radio_.can_transmit()) {
-        radio::Frame ack =
-            make_control_frame(radio::FrameType::kAck, dst, seq);
-        ack.trace = trace;  // the ack belongs to the data frame's trace
-        radio_.transmit(std::move(ack), nullptr);
-      }
-    });
+    // Ack after turnaround; best-effort (radio may be mid-TX).
+    send_after_turnaround(radio::FrameType::kAck, f.src, f.seq, f.trace);
   }
   deliver_data(f, rssi);
 }

@@ -40,7 +40,6 @@ class CsmaMac : public MacBase {
   void finish(bool delivered);
 
   CsmaConfig cfg_;
-  bool running_ = false;
   bool busy_ = false;           // a send() is in flight
   std::uint16_t awaiting_seq_ = 0;
   bool awaiting_ack_ = false;

@@ -244,15 +244,8 @@ void LplMac::on_frame(const radio::Frame& f, double rssi) {
           expecting_data_ = true;
           gap_timer_.cancel();
           strobe_deadline_ += 40'000;
-          radio::Frame pack = make_control_frame(
-              radio::FrameType::kStrobeAck, f.src, f.seq);
-          pack.trace = f.trace;
-          sched_.schedule_after(kTurnaround,
-                                [this, pack = std::move(pack)]() mutable {
-                                  if (running_ && radio_.can_transmit()) {
-                                    radio_.transmit(std::move(pack), nullptr);
-                                  }
-                                });
+          send_after_turnaround(radio::FrameType::kStrobeAck, f.src, f.seq,
+                                f.trace);
           resume_timer_ = sched_.schedule_after(
               40'000, [this] { resume_train(); });
         }
@@ -260,15 +253,8 @@ void LplMac::on_frame(const radio::Frame& f, double rssi) {
       }
       if (f.dst == radio_.id()) {
         expecting_data_ = true;
-        radio::Frame ack = make_control_frame(radio::FrameType::kStrobeAck,
-                                              f.src, f.seq);
-        ack.trace = f.trace;
-        sched_.schedule_after(kTurnaround,
-                              [this, ack = std::move(ack)]() mutable {
-                                if (running_ && radio_.can_transmit()) {
-                                  radio_.transmit(std::move(ack), nullptr);
-                                }
-                              });
+        send_after_turnaround(radio::FrameType::kStrobeAck, f.src, f.seq,
+                              f.trace);
       } else {
         // Overhearing avoidance: the strobe train is for someone else.
         go_to_sleep();
@@ -285,15 +271,7 @@ void LplMac::on_frame(const radio::Frame& f, double rssi) {
     case radio::FrameType::kData: {
       if (f.dst != radio_.id() && !f.broadcast()) return;
       if (!f.broadcast()) {
-        radio::Frame ack =
-            make_control_frame(radio::FrameType::kAck, f.src, f.seq);
-        ack.trace = f.trace;
-        sched_.schedule_after(kTurnaround,
-                              [this, ack = std::move(ack)]() mutable {
-                                if (running_ && radio_.can_transmit()) {
-                                  radio_.transmit(std::move(ack), nullptr);
-                                }
-                              });
+        send_after_turnaround(radio::FrameType::kAck, f.src, f.seq, f.trace);
       }
       expecting_data_ = false;
       deliver_data(f, rssi);

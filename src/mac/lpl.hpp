@@ -53,7 +53,6 @@ class LplMac : public MacBase {
   void on_frame(const radio::Frame& f, double rssi);
 
   LplConfig cfg_;
-  bool running_ = false;
 
   // Receiver state.
   sim::EventHandle wake_timer_;

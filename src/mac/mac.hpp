@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -196,6 +197,23 @@ class MacBase : public Mac {
     return f;
   }
 
+  /// Sends a `type` control frame (ack, strobe-ack) to `dst` after the
+  /// RX/TX turnaround, best-effort: skipped if the MAC has stopped or the
+  /// radio cannot transmit by then. The ack belongs to the data frame's
+  /// `trace`. The closure carries only what the frame needs and builds it
+  /// when it fires: a captured Frame would overflow sim::Callback's inline
+  /// buffer and allocate on every received unicast.
+  void send_after_turnaround(radio::FrameType type, NodeId dst,
+                             std::uint16_t seq, obs::TraceId trace) {
+    sched_.schedule_after(kTurnaround, [this, type, dst, seq, trace] {
+      if (running_ && radio_.can_transmit()) {
+        radio::Frame f = make_control_frame(type, dst, seq);
+        f.trace = trace;
+        radio_.transmit(std::move(f), nullptr);
+      }
+    });
+  }
+
   /// Tenant filter + duplicate suppression; delivers to the upper layer.
   /// Returns true if the frame was fresh (delivered).
   bool deliver_data(const radio::Frame& f, double rssi) {
@@ -229,6 +247,7 @@ class MacBase : public Mac {
   TenantId tenant_;
   MacStats stats_;
   std::uint16_t next_seq_ = 1;
+  bool running_ = false;  // between start() and stop()
 
  private:
   std::size_t queue_capacity_;

@@ -184,15 +184,7 @@ void RiMac::on_frame(const radio::Frame& f, double rssi) {
     case radio::FrameType::kData: {
       if (f.dst != radio_.id() && !f.broadcast()) return;
       if (!f.broadcast()) {
-        radio::Frame ack =
-            make_control_frame(radio::FrameType::kAck, f.src, f.seq);
-        ack.trace = f.trace;
-        sched_.schedule_after(kTurnaround,
-                              [this, ack = std::move(ack)]() mutable {
-                                if (running_ && radio_.can_transmit()) {
-                                  radio_.transmit(std::move(ack), nullptr);
-                                }
-                              });
+        send_after_turnaround(radio::FrameType::kAck, f.src, f.seq, f.trace);
       }
       deliver_data(f, rssi);
       return;

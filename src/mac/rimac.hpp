@@ -48,7 +48,6 @@ class RiMac : public MacBase {
   void finish(bool delivered);
 
   RiMacConfig cfg_;
-  bool running_ = false;
 
   // Receiver state.
   sim::EventHandle wake_timer_;

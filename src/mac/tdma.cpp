@@ -165,13 +165,7 @@ void TdmaMac::on_frame(const radio::Frame& f, double rssi) {
   }
   if (f.type != radio::FrameType::kData) return;
   if (f.dst != radio_.id()) return;
-  radio::Frame ack = make_control_frame(radio::FrameType::kAck, f.src, f.seq);
-  ack.trace = f.trace;  // the ack belongs to the data frame's trace
-  sched_.schedule_after(kTurnaround, [this, ack = std::move(ack)]() mutable {
-    if (running_ && radio_.can_transmit()) {
-      radio_.transmit(std::move(ack), nullptr);
-    }
-  });
+  send_after_turnaround(radio::FrameType::kAck, f.src, f.seq, f.trace);
   deliver_data(f, rssi);
 }
 

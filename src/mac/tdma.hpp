@@ -68,7 +68,6 @@ class TdmaMac : public MacBase {
 
   TdmaConfig cfg_;
   TdmaSchedule sched_cfg_;
-  bool running_ = false;
   bool in_tx_window_ = false;
   bool frame_in_flight_ = false;
   std::uint16_t awaiting_seq_ = 0;

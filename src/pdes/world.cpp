@@ -19,6 +19,25 @@ std::uint64_t fnv1a(std::uint64_t h, double v) {
   return fnv1a(h, std::bit_cast<std::uint64_t>(v));
 }
 
+/// Node positions, island-major: island (ix, iy) holds the side x side
+/// patch of the city lattice at (ix * side, iy * side), row by row.
+std::vector<radio::Position> grid_positions(const IslandWorldConfig& cfg) {
+  std::vector<radio::Position> pos;
+  pos.reserve(cfg.nodes());
+  const std::size_t side = cfg.island_side;
+  for (std::size_t iy = 0; iy < cfg.islands_y; ++iy) {
+    for (std::size_t ix = 0; ix < cfg.islands_x; ++ix) {
+      for (std::size_t ny = 0; ny < side; ++ny) {
+        for (std::size_t nx = 0; nx < side; ++nx) {
+          pos.push_back({static_cast<double>(ix * side + nx) * cfg.spacing,
+                         static_cast<double>(iy * side + ny) * cfg.spacing});
+        }
+      }
+    }
+  }
+  return pos;
+}
+
 }  // namespace
 
 core::NodeConfig IslandWorldConfig::node_config() {
@@ -48,24 +67,14 @@ core::NodeConfig IslandWorldConfig::node_config() {
 }
 
 IslandWorld::IslandWorld(IslandWorldConfig cfg)
+    : IslandWorld(cfg, grid_positions(cfg)) {}
+
+IslandWorld::IslandWorld(IslandWorldConfig cfg,
+                         const std::vector<radio::Position>& pos)
     : cfg_(cfg),
       plan_([&] {
-        std::vector<radio::Position> pos;
-        pos.reserve(cfg.nodes());
-        const std::size_t side = cfg.island_side;
-        for (std::size_t iy = 0; iy < cfg.islands_y; ++iy) {
-          for (std::size_t ix = 0; ix < cfg.islands_x; ++ix) {
-            for (std::size_t ny = 0; ny < side; ++ny) {
-              for (std::size_t nx = 0; nx < side; ++nx) {
-                pos.push_back(
-                    {static_cast<double>(ix * side + nx) * cfg.spacing,
-                     static_cast<double>(iy * side + ny) * cfg.spacing});
-              }
-            }
-          }
-        }
         radio::IslandPlanOptions opt;
-        opt.cell_size = static_cast<double>(side) * cfg.spacing;
+        opt.cell_size = static_cast<double>(cfg.island_side) * cfg.spacing;
         opt.window = cfg.window;
         return radio::plan_islands(pos, cfg.radio_cfg, cfg.seed, opt);
       }()),
@@ -94,15 +103,8 @@ IslandWorld::IslandWorld(IslandWorldConfig cfg)
     isle->net = std::make_unique<core::MeshNetwork>(
         isle->sched, *isle->medium, Rng(cfg_.seed, 0x15A0 + k), cfg_.node,
         static_cast<NodeId>(k * side2));
-    const std::size_t side = cfg_.island_side;
-    const std::size_t ix = k % cfg_.islands_x;
-    const std::size_t iy = k / cfg_.islands_x;
-    for (std::size_t ny = 0; ny < side; ++ny) {
-      for (std::size_t nx = 0; nx < side; ++nx) {
-        isle->net->add_node(
-            {static_cast<double>(ix * side + nx) * cfg_.spacing,
-             static_cast<double>(iy * side + ny) * cfg_.spacing});
-      }
+    for (std::size_t j = k * side2; j < (k + 1) * side2; ++j) {
+      isle->net->add_node(pos[j]);
     }
     if (cfg_.faults) {
       isle->faults = std::make_unique<radio::FaultInjector>(

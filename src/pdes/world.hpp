@@ -125,6 +125,9 @@ class IslandWorld {
   [[nodiscard]] std::uint64_t digest() const;
 
  private:
+  /// `pos`: every node's position, island-major (see grid_positions).
+  IslandWorld(IslandWorldConfig cfg, const std::vector<radio::Position>& pos);
+
   struct Island {
     sim::Scheduler sched;
     std::unique_ptr<obs::Context> obs;

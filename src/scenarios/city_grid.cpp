@@ -17,9 +17,6 @@
 // scenarios model that); here the outer city's full RPL control plane
 // is the scaling load, and delivery measures district service under it.
 // For smoke (2x2) and soak (3x3) the district covers every island.
-#include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <vector>
 
@@ -33,6 +30,8 @@ namespace iiot::scenarios::detail {
 namespace {
 
 constexpr std::uint64_t kSalt = 0xC17E9;
+
+using testing::advance;
 
 struct Layout {
   std::size_t islands_x;
@@ -72,17 +71,6 @@ RunParams params_for(Tier tier, std::uint64_t seed) {
 
 double meter_reading(std::size_t i, std::uint32_t seq) {
   return 220.0 + 0.1 * static_cast<double>((i * 31 + seq * 7) % 97);
-}
-
-/// Steps the world in 1 s chunks, auditing every island medium's
-/// bookkeeping at each boundary (the IslandWorld analogue of
-/// testing::Checkpointer).
-std::string advance(pdes::IslandWorld& world, sim::Time to) {
-  while (world.now() < to) {
-    world.run_until(std::min<sim::Time>(to, world.now() + 1'000'000));
-    if (auto v = world.check_consistency(); !v.empty()) return v;
-  }
-  return {};
 }
 
 ShardResult run_shard(const RunParams& p, std::size_t shard) {
@@ -218,36 +206,6 @@ ShardResult run_shard(const RunParams& p, std::size_t shard) {
     return r;
   }
 
-  if (std::getenv("CITY_GRID_DEBUG") != nullptr) {
-    std::uint64_t nr = 0, lk = 0, ttl = 0, loop = 0, fwd = 0, orig = 0,
-                  deliv = 0, pc = 0, dio = 0, dis = 0, dao = 0;
-    for (std::size_t i = 0; i < world.size(); ++i) {
-      const auto& st = world.node(i).routing->stats();
-      nr += st.drops_no_route; lk += st.drops_link; ttl += st.drops_ttl;
-      loop += st.drops_loop; fwd += st.data_forwarded;
-      orig += st.data_originated; deliv += st.data_delivered;
-      pc += st.parent_changes;
-      dio += st.dio_tx; dis += st.dis_tx; dao += st.dao_tx;
-    }
-    const auto ms2 = world.medium_stats();
-    std::fprintf(stderr,
-                 "DBG orig=%llu fwd=%llu deliv=%llu no_route=%llu link=%llu "
-                 "ttl=%llu loop=%llu parent_changes=%llu dio=%llu dis=%llu "
-                 "dao=%llu tx=%llu coll=%llu "
-                 "snr=%llu abort=%llu xrx=%llu dup=%llu\n",
-                 (unsigned long long)orig, (unsigned long long)fwd,
-                 (unsigned long long)deliv, (unsigned long long)nr,
-                 (unsigned long long)lk, (unsigned long long)ttl,
-                 (unsigned long long)loop, (unsigned long long)pc,
-                 (unsigned long long)dio, (unsigned long long)dis,
-                 (unsigned long long)dao,
-                 (unsigned long long)ms2.transmissions,
-                 (unsigned long long)ms2.collisions,
-                 (unsigned long long)ms2.snr_losses,
-                 (unsigned long long)ms2.aborted,
-                 (unsigned long long)ms2.cross_island_rx,
-                 (unsigned long long)ledger->duplicates);
-  }
   for (std::uint64_t s : sent_by_island) r.sent += s;
   r.delivered = ledger->latencies_us.size();
   r.latencies_us = std::move(ledger->latencies_us);

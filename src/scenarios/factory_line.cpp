@@ -14,7 +14,7 @@
 #include "backend/rules.hpp"
 #include "backend/timeseries.hpp"
 #include "backend/topic_bus.hpp"
-#include "mac/tdma.hpp"
+#include "core/network.hpp"
 #include "obs/context.hpp"
 #include "radio/medium.hpp"
 #include "scenarios/specs.hpp"
@@ -77,35 +77,13 @@ ShardResult run_shard(const RunParams& p, std::size_t shard) {
   pcfg.shadowing_sigma_db = 0.0;  // curated worlds stay libm-drift-free
   radio::Medium medium(sched, pcfg, wseed);
 
-  struct Station {
-    energy::Meter meter;
-    radio::Radio radio;
-    mac::TdmaMac mac;
-    Station(radio::Medium& m, sim::Scheduler& s, NodeId id,
-            radio::Position pos, Rng rng, const mac::TdmaConfig& cfg)
-        : radio(m, s, id, pos, meter), mac(radio, s, rng, 0, cfg) {}
-  };
-
   // The staggered schedule needs (depth_max + 1) slots per epoch for a
   // sample to ride the whole chain within one epoch.
   mac::TdmaConfig tcfg;
   tcfg.slot = kSlot;
   tcfg.epoch = static_cast<sim::Duration>(n + 2) * kSlot;
   tcfg.staggered = true;
-
-  std::vector<std::unique_ptr<Station>> stations;
-  for (std::size_t i = 0; i < n; ++i) {
-    stations.push_back(std::make_unique<Station>(
-        medium, sched, static_cast<NodeId>(i),
-        radio::Position{static_cast<double>(i) * 18.0, 0.0},
-        Rng(wseed, 60 + static_cast<std::uint64_t>(i)), tcfg));
-    mac::TdmaSchedule s;
-    s.parent = i == 0 ? kInvalidNode : static_cast<NodeId>(i - 1);
-    s.depth = static_cast<int>(i);
-    s.max_depth = static_cast<int>(n - 1);
-    s.has_children = i + 1 < n;
-    stations.back()->mac.configure(s);
-  }
+  core::TdmaLine line(sched, medium, wseed, n, 18.0, tcfg);
 
   // ---- backend tier at the line controller ---------------------------
   backend::TopicBus bus;
@@ -169,22 +147,9 @@ ShardResult run_shard(const RunParams& p, std::size_t shard) {
     bus.publish("factory/st" + std::to_string(origin) + "/temp",
                 std::string(buf));
   };
-  for (std::size_t i = 0; i < n; ++i) {
-    mac::Mac& m = stations[i]->mac;
-    if (i == 0) {
-      m.set_receive_handler(
-          [lg = ledger.get(), &sched](NodeId, BytesView pl, double) {
-            lg->record(pl, sched.now());
-          });
-    } else {
-      const auto parent = static_cast<NodeId>(i - 1);
-      mac::Mac* self = &m;
-      m.set_receive_handler([self, parent](NodeId, BytesView pl, double) {
-        self->send(parent, Buffer(pl.begin(), pl.end()));
-      });
-    }
-    m.start();
-  }
+  line.start([lg = ledger.get(), &sched](NodeId, BytesView pl, double) {
+    lg->record(pl, sched.now());
+  });
 
   // ---- pre-scheduled sampling ----------------------------------------
   // Stations sample every `period`, phase-staggered across epochs so a
@@ -197,8 +162,6 @@ ShardResult run_shard(const RunParams& p, std::size_t shard) {
   std::uint64_t sent = 0;
   sim::Time first_hot_send = 0;
   for (std::size_t i = 1; i < n; ++i) {
-    mac::Mac* m = &stations[i]->mac;
-    const auto parent = static_cast<NodeId>(i - 1);
     const auto origin = static_cast<std::uint32_t>(i);
     const sim::Time phase =
         (static_cast<sim::Time>(i) % ((period / tcfg.epoch))) * tcfg.epoch +
@@ -207,11 +170,11 @@ ShardResult run_shard(const RunParams& p, std::size_t shard) {
     for (sim::Time t = start + phase; t < last_send; t += period) {
       const bool hot = i == hot_station && t >= hot_from && t < hot_to;
       if (hot && first_hot_send == 0) first_hot_send = t;
-      sched.schedule_at(t, [m, parent, origin, seq, hot, i, &sent, &sched] {
+      sched.schedule_at(t, [&line, origin, seq, hot, i, &sent, &sched] {
         Buffer pl;
         write_timed(pl, origin, seq, sched.now(),
                     station_temp(i, seq, hot));
-        if (m->send(parent, std::move(pl))) ++sent;
+        if (line.send_up(i, std::move(pl))) ++sent;
       });
       ++seq;
     }
@@ -250,8 +213,9 @@ ShardResult run_shard(const RunParams& p, std::size_t shard) {
   r.delivered = ledger->latencies_us.size();
   r.latencies_us = std::move(ledger->latencies_us);
   for (std::size_t i = 1; i < n; ++i) {
-    stations[i]->meter.settle(sched.now());
-    r.duty_sum += stations[i]->meter.duty_cycle();
+    energy::Meter& meter = line.station(i).meter;
+    meter.settle(sched.now());
+    r.duty_sum += meter.duty_cycle();
     ++r.duty_nodes;
   }
   const double trip_latency_s =

@@ -1,7 +1,7 @@
 // Checkpointed advancing, shared by the fuzzer's scenarios
-// (testing/scenario.cpp) and the curated scenario library
-// (src/scenarios/): both step a world in 1 s chunks and audit the medium
-// at every boundary.
+// (testing/scenario.cpp, testing/pdes_fuzz.cpp) and the curated scenario
+// library (src/scenarios/): all step a world in 1 s chunks and audit the
+// medium at every boundary.
 #pragma once
 
 #include <algorithm>
@@ -10,6 +10,7 @@
 #include <string>
 
 #include "core/network.hpp"
+#include "pdes/world.hpp"
 #include "radio/medium.hpp"
 #include "sim/scheduler.hpp"
 #include "testing/invariants.hpp"
@@ -67,5 +68,17 @@ struct Checkpointer {
     return {};
   }
 };
+
+/// The island-world analogue of Checkpointer::advance: steps `world` in
+/// 1 s chunks, auditing every island medium's bookkeeping at each
+/// boundary.
+[[nodiscard]] inline std::string advance(pdes::IslandWorld& world,
+                                         sim::Time to) {
+  while (world.now() < to) {
+    world.run_until(std::min<sim::Time>(to, world.now() + 1'000'000));
+    if (auto v = world.check_consistency(); !v.empty()) return v;
+  }
+  return {};
+}
 
 }  // namespace iiot::testing

@@ -1,27 +1,13 @@
 #include "testing/pdes_fuzz.hpp"
 
-#include <algorithm>
 #include <cstdio>
 
 #include "common/rng.hpp"
 #include "pdes/world.hpp"
 #include "runner/engine.hpp"
+#include "testing/checkpointer.hpp"
 
 namespace iiot::testing {
-
-namespace {
-
-/// Steps the world in 1 s chunks, auditing every island medium's
-/// bookkeeping at each boundary.
-std::string advance(pdes::IslandWorld& world, sim::Time to) {
-  while (world.now() < to) {
-    world.run_until(std::min<sim::Time>(to, world.now() + 1'000'000));
-    if (auto v = world.check_consistency(); !v.empty()) return v;
-  }
-  return {};
-}
-
-}  // namespace
 
 std::string PdesScenarioConfig::summary() const {
   char buf[256];

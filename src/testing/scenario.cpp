@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <unordered_set>
 #include <vector>
 
@@ -11,7 +12,6 @@
 #include "core/network.hpp"
 #include "dependability/faults.hpp"
 #include "energy/meter.hpp"
-#include "mac/tdma.hpp"
 #include "net/rnfd.hpp"
 #include "obs/context.hpp"
 #include "radio/medium.hpp"
@@ -226,455 +226,47 @@ struct ChurnRig {
   return {};
 }
 
-ScenarioResult run_mesh(const ScenarioConfig& cfg) {
-  sim::Scheduler sched;
-  // Observability rides along with every fuzzed scenario: the contract is
-  // that tracing can be on anywhere without perturbing the simulation, so
-  // the fuzzer keeps it on everywhere and audits every span the run
-  // produced (check_trace_wellformed at the end). The bounded capacity
-  // also exercises the deterministic-drop path on chatty scenarios.
-  obs::Context obsctx(sched, 1u << 18);
-  obsctx.tracer().set_enabled(true);
-  radio::Medium medium(sched, propagation_for(cfg), cfg.seed);
-  medium.debug_set_skip_detach_cleanup(cfg.canary_skip_detach_cleanup);
-  radio::FaultInjector injector(medium, cfg.seed, cfg.frame_faults);
+/// The world a scenario runs on. CSMA, LPL and RI-MAC run an RPL mesh.
+/// TDMA has no routing layer, so it runs a collection line toward node 0
+/// whose stations always count as joined.
+struct World {
+  std::optional<core::MeshNetwork> mesh;
+  std::optional<core::TdmaLine> line;
 
-  const std::size_t n = std::max<std::size_t>(cfg.nodes, 3);
-  const core::MacKind mac = cfg.mac == ScenarioMac::kCsma ? core::MacKind::kCsma
-                            : cfg.mac == ScenarioMac::kLpl
-                                ? core::MacKind::kLpl
-                                : core::MacKind::kRiMac;
-  core::MeshNetwork net(sched, medium, Rng(cfg.seed, 5),
-                        core::paced_node_config(mac));
-  switch (cfg.topology) {
-    case ScenarioTopology::kLine: net.build_line(n, cfg.spacing); break;
-    case ScenarioTopology::kGrid: net.build_grid(n, cfg.spacing); break;
-    case ScenarioTopology::kRandomField:
-      net.build_random_field(n, cfg.spacing * std::sqrt(static_cast<double>(n)));
-      break;
+  [[nodiscard]] mac::Mac& mac(std::size_t i) {
+    return mesh ? *mesh->node(i).mac : line->station(i).mac;
   }
-  net.start(0);
-
-  const bool corrupting = cfg.frame_faults.corrupt_p > 0.0;
-  auto log = std::make_unique<RootLog>();
-  net.root().routing->set_delivery_handler(
-      [log = log.get()](NodeId origin, BytesView payload, std::uint8_t) {
-        log->record(origin, payload, /*check_origin=*/true);
-      });
-
-  // Pre-scheduled periodic traffic from every non-root node, phased so
-  // senders never align. The horizon extends past the nominal end so
-  // grace extensions (below) stay under load; surplus events simply
-  // never run.
-  const sim::Time end_time = cfg.form_time + cfg.fault_time + cfg.heal_time;
-  for (std::size_t i = 1; i < net.size(); ++i) {
-    core::MeshNode* node = &net.node(i);
-    const auto origin = static_cast<std::uint32_t>(node->id);
-    const sim::Time phase =
-        200'000 + (static_cast<sim::Time>(i) * 7'919) % cfg.traffic_period;
-    std::uint32_t seq = 0;
-    for (sim::Time t = cfg.form_time / 2 + phase; t < end_time + 90_s;
-         t += cfg.traffic_period) {
-      sched.schedule_at(t, [node, origin, seq] {
-        if (!node->routing->joined() || node->routing->is_root()) return;
-        Buffer p;
-        write_sample(p, origin, seq);
-        (void)node->routing->send_up(std::move(p));
-      });
-      ++seq;
+  [[nodiscard]] radio::Radio& radio(std::size_t i) {
+    return mesh ? mesh->node(i).radio : line->station(i).radio;
+  }
+  [[nodiscard]] double joined_fraction() const {
+    return mesh ? mesh->joined_fraction() : 1.0;
+  }
+  /// Node i's periodic sample: up the DODAG once joined, or to its parent
+  /// on the line.
+  void send_up(std::size_t i, Buffer payload) {
+    if (line) {
+      (void)line->send_up(i, std::move(payload));
+      return;
     }
+    net::RplRouting& r = *mesh->node(i).routing;
+    if (r.joined() && !r.is_root()) (void)r.send_up(std::move(payload));
   }
-
-  // RNFD false-positive watch (clean scenarios only): the root stays up
-  // throughout, so no detector may ever declare it dead.
-  std::vector<std::unique_ptr<net::RnfdDetector>> detectors;
-  if (cfg.run_rnfd) {
-    net::RnfdConfig rcfg;
-    if (cfg.mac != ScenarioMac::kCsma) {
-      // On duty-cycled MACs a broadcast occupies ~a full wake interval
-      // of airtime; 1s-paced gossip from every node would saturate the
-      // channel and manufacture the probe losses it then votes on.
-      rcfg.gossip_interval = 5'000'000;
-    }
-    for (std::size_t i = 1; i < net.size(); ++i) {
-      detectors.push_back(std::make_unique<net::RnfdDetector>(
-          *net.node(i).routing, sched,
-          Rng(cfg.seed, 300 + static_cast<std::uint64_t>(i)), rcfg));
-    }
-    sched.schedule_at(cfg.form_time / 2, [&detectors] {
-      for (auto& d : detectors) d->start();
-    });
-  }
-
-  std::uint64_t crash_failures = 0;
-  std::uint64_t subchecks_passed = 0;
-  Checkpointer cp{sched, medium, &net, cfg.trace, 0, 0};
-
-  const auto snapshot = [&](double joined) {
-    Fingerprint fp;
-    fp.final_time = sched.now();
-    fp.events = sched.executed_events();
-    const radio::MediumStats& ms = medium.stats();
-    fp.transmissions = ms.transmissions;
-    fp.deliveries = ms.deliveries;
-    fp.collisions = ms.collisions;
-    fp.snr_losses = ms.snr_losses;
-    fp.aborted = ms.aborted;
-    fp.fault_drops = ms.fault_drops;
-    fp.fault_dups = ms.fault_dups;
-    fp.fault_delays = ms.fault_delays;
-    for (std::size_t i = 0; i < net.size(); ++i) {
-      fp.mac_delivered += net.node(i).mac->stats().delivered;
-      fp.parent_changes += net.node(i).routing->stats().parent_changes;
-    }
-    fp.root_rx = log->rx;
-    fp.joined_permille =
-        static_cast<std::uint64_t>(joined * 1000.0 + 0.5);
-    fp.crash_failures = crash_failures;
-    const radio::FaultInjectorStats& is = injector.stats();
-    fp.injected_faults =
-        is.dropped + is.corrupted + is.duplicated + is.delayed;
-    fp.transient_loops = cp.transient_loops;
-    fp.checks_passed = cp.checks + subchecks_passed;
-    return fp;
-  };
-  const auto finish = [&](std::string failure) {
-    ScenarioResult res;
-    res.ok = failure.empty();
-    res.failure = std::move(failure);
-    res.fingerprint = snapshot(net.joined_fraction());
-    return res;
-  };
-
-  // ---- Phase 1: formation --------------------------------------------
-  if (auto v = cp.advance(cfg.form_time); !v.empty()) {
-    return finish("formation: " + v);
-  }
-  // Duty-cycled MACs on unlucky geometries may need a little extra; two
-  // bounded grace extensions keep the generator's time budget honest
-  // without flaking.
-  for (int grace = 0; grace < 2; ++grace) {
-    if (cfg.topology == ScenarioTopology::kRandomField) break;
-    if (net.joined_fraction() >= 1.0) break;
-    if (auto v = cp.advance(sched.now() + 15_s); !v.empty()) {
-      return finish("formation: " + v);
-    }
-  }
-  const double baseline = net.joined_fraction();
-  if (cfg.topology != ScenarioTopology::kRandomField && baseline < 1.0) {
-    return finish("formation: only " + std::to_string(baseline) +
-                  " of nodes joined the DODAG");
-  }
-
-  // ---- Phase 2: faults ------------------------------------------------
-  if (cfg.frame_faults.drop_p > 0.0 || cfg.frame_faults.corrupt_p > 0.0 ||
-      cfg.frame_faults.duplicate_p > 0.0 || cfg.frame_faults.delay_p > 0.0) {
-    injector.enable();
-  }
-  std::vector<std::unique_ptr<dependability::CrashProcess>> procs;
-  std::vector<core::MeshNode*> crash_nodes;
-  std::unordered_set<std::size_t> crash_indices;
-  for (const CrashPlan& plan : cfg.crashes) {
-    const std::size_t idx =
-        1 + plan.node_index % std::max<std::size_t>(net.size() - 1, 1);
-    if (!crash_indices.insert(idx).second) continue;  // one process per node
-    core::MeshNode* node = &net.node(idx);
-    dependability::FaultConfig fc;
-    fc.mttf_seconds = plan.mttf_s;
-    fc.mttr_seconds = plan.mttr_s;
-    fc.repair = plan.repair;
-    procs.push_back(std::make_unique<dependability::CrashProcess>(
-        sched, Rng(cfg.seed, 500 + static_cast<std::uint64_t>(idx)), fc,
-        [node, &crash_failures] {
-          ++crash_failures;
-          node->stop();
-        },
-        [node] { node->start(false); }));
-    crash_nodes.push_back(node);
-    procs.back()->start();
-  }
-
-  if (auto v = run_fault_window(cp, medium, sched,
-                                net.root().radio.position(),
-                                sched.now() + cfg.fault_time,
-                                cfg.churn_slots);
-      !v.empty()) {
-    return finish("fault phase: " + v);
-  }
-
-  // ---- Phase 3: heal --------------------------------------------------
-  injector.disable();
-  for (std::size_t i = 0; i < procs.size(); ++i) {
-    procs[i]->stop();
-    if (!procs[i]->up()) crash_nodes[i]->start(false);  // replace dead gear
-  }
-  // Version bump clears any stale state (rank lies from corrupted DIOs
-  // included) and forces a fresh DODAG.
-  net.root().routing->global_repair();
-  if (auto v = cp.advance(sched.now() + cfg.heal_time); !v.empty()) {
-    return finish("heal: " + v);
-  }
-
-  // ---- Final cross-layer invariants ----------------------------------
-  // Eventual repair: once faults stop, the DODAG must settle loop-free
-  // and fully joined. Bounded grace covers duty-cycled stragglers.
-  // On a settle failure the parent table is the evidence; append it so
-  // a replayed seed is diagnosable from the one-line report alone.
-  const auto settled = [&]() -> std::string {
-    if (auto v = check_routing_acyclic(net); !v.empty()) {
-      return "loop persists after heal: " + v + routing_table(net);
-    }
-    const double joined = net.joined_fraction();
-    if (cfg.topology != ScenarioTopology::kRandomField && joined < 1.0) {
-      return "network never fully re-joined (" + std::to_string(joined) +
-             ")" + routing_table(net);
-    }
-    if (cfg.topology == ScenarioTopology::kRandomField &&
-        joined + 1e-9 < baseline) {
-      return "joined fraction regressed (" + std::to_string(baseline) +
-             " -> " + std::to_string(joined) + ")";
-    }
-    return {};
-  };
-  std::string settle_fail = settled();
-  for (int grace = 0; grace < 2 && !settle_fail.empty(); ++grace) {
-    if (auto v = cp.advance(sched.now() + 15_s); !v.empty()) {
-      return finish("heal: " + v);
-    }
-    settle_fail = settled();
-  }
-  if (!settle_fail.empty()) {
-    return finish("heal: " + settle_fail);
-  }
-  if (log->rx == 0) {
-    return finish("delivery: no data ever reached the root");
-  }
-  if (!corrupting && log->malformed != 0) {
-    return finish("delivery: " + std::to_string(log->malformed) +
-                  " malformed payloads at the root without corruption");
-  }
-  if (!corrupting && log->duplicates != 0) {
-    return finish("delivery: " + std::to_string(log->duplicates) +
-                  " duplicate (origin,seq) deliveries at the root");
-  }
-  for (auto& d : detectors) {
-    if (d->root_declared_dead()) {
-      std::string detail = "rnfd: live root declared dead (false positive) [";
-      for (std::size_t i = 0; i < detectors.size(); ++i) {
-        const net::RnfdStats& st = detectors[i]->stats();
-        char buf[96];
-        std::snprintf(buf, sizeof buf, "%s%zu:%s p=%llu/%llu ep=%llu sus=%zu%s",
-                      i ? " " : "", i + 1,
-                      detectors[i]->is_sentinel() ? "S" : "-",
-                      static_cast<unsigned long long>(st.probes_acked),
-                      static_cast<unsigned long long>(st.probes_sent),
-                      static_cast<unsigned long long>(st.epoch_advances),
-                      detectors[i]->counter().suspect_count(),
-                      detectors[i]->root_declared_dead() ? "!" : "");
-        detail += buf;
-      }
-      detail += "]";
-      return finish(detail);
-    }
-  }
-
-  ++cp.checks;
-  if (auto v = check_trace_wellformed(obsctx.tracer()); !v.empty()) {
-    return finish(v);
-  }
-
-  if (auto v = run_subchecks(cfg, subchecks_passed); !v.empty()) {
-    return finish(v);
-  }
-  return finish({});
-}
-
-/// TDMA has no RPL (collection-only MAC), so the scenario is a line with
-/// explicitly wired schedules and hop-by-hop forwarding toward node 0.
-ScenarioResult run_tdma(const ScenarioConfig& cfg) {
-  sim::Scheduler sched;
-  obs::Context obsctx(sched, 1u << 18);  // same audit as run_mesh
-  obsctx.tracer().set_enabled(true);
-  radio::Medium medium(sched, propagation_for(cfg), cfg.seed);
-  medium.debug_set_skip_detach_cleanup(cfg.canary_skip_detach_cleanup);
-  radio::FaultInjector injector(medium, cfg.seed, cfg.frame_faults);
-
-  struct TdmaNode {
-    energy::Meter meter;
-    radio::Radio radio;
-    mac::TdmaMac mac;
-    TdmaNode(radio::Medium& m, sim::Scheduler& s, NodeId id,
-             radio::Position pos, Rng rng, const mac::TdmaConfig& cfg)
-        : radio(m, s, id, pos, meter), mac(radio, s, rng, 0, cfg) {}
-  };
-
-  mac::TdmaConfig tcfg;
-  tcfg.epoch = 1'000'000;
-  tcfg.slot = 40'000;
-  tcfg.staggered = true;
-
-  const std::size_t n = std::max<std::size_t>(cfg.nodes, 3);
-  std::vector<std::unique_ptr<TdmaNode>> nodes;
-  for (std::size_t i = 0; i < n; ++i) {
-    nodes.push_back(std::make_unique<TdmaNode>(
-        medium, sched, static_cast<NodeId>(i),
-        radio::Position{static_cast<double>(i) * cfg.spacing, 0.0},
-        Rng(cfg.seed, 60 + static_cast<std::uint64_t>(i)), tcfg));
-    mac::TdmaSchedule s;
-    s.parent = i == 0 ? kInvalidNode : static_cast<NodeId>(i - 1);
-    s.depth = static_cast<int>(i);
-    s.max_depth = static_cast<int>(n - 1);
-    s.has_children = i + 1 < n;
-    nodes.back()->mac.configure(s);
-  }
-
-  const bool corrupting = cfg.frame_faults.corrupt_p > 0.0;
-  auto log = std::make_unique<RootLog>();
-  for (std::size_t i = 0; i < n; ++i) {
-    mac::Mac& m = nodes[i]->mac;
-    if (i == 0) {
-      // Forwarded payloads carry the true origin; the MAC-level src is
-      // just the last hop, so origin cross-checking is skipped.
-      m.set_receive_handler(
-          [log = log.get()](NodeId, BytesView p, double) {
-            log->record(0, p, /*check_origin=*/false);
-          });
+  void crash(std::size_t i) {
+    if (mesh) {
+      mesh->node(i).stop();
     } else {
-      const auto parent = static_cast<NodeId>(i - 1);
-      mac::Mac* self = &nodes[i]->mac;
-      m.set_receive_handler([self, parent](NodeId, BytesView p, double) {
-        self->send(parent, Buffer(p.begin(), p.end()));
-      });
-    }
-    m.start();
-  }
-
-  const sim::Time end_time = cfg.form_time + cfg.fault_time + cfg.heal_time;
-  for (std::size_t i = 1; i < n; ++i) {
-    mac::Mac* m = &nodes[i]->mac;
-    const auto parent = static_cast<NodeId>(i - 1);
-    const auto origin = static_cast<std::uint32_t>(i);
-    const sim::Time phase =
-        200'000 + (static_cast<sim::Time>(i) * 7'919) % cfg.traffic_period;
-    std::uint32_t seq = 0;
-    for (sim::Time t = cfg.form_time / 2 + phase; t + 2_s < end_time;
-         t += cfg.traffic_period) {
-      sched.schedule_at(t, [m, parent, origin, seq] {
-        Buffer p;
-        write_sample(p, origin, seq);
-        (void)m->send(parent, std::move(p));
-      });
-      ++seq;
+      line->station(i).mac.stop();
     }
   }
-
-  std::uint64_t crash_failures = 0;
-  std::uint64_t subchecks_passed = 0;
-  Checkpointer cp{sched, medium, nullptr, false, 0, 0};
-
-  const auto snapshot = [&] {
-    Fingerprint fp;
-    fp.final_time = sched.now();
-    fp.events = sched.executed_events();
-    const radio::MediumStats& ms = medium.stats();
-    fp.transmissions = ms.transmissions;
-    fp.deliveries = ms.deliveries;
-    fp.collisions = ms.collisions;
-    fp.snr_losses = ms.snr_losses;
-    fp.aborted = ms.aborted;
-    fp.fault_drops = ms.fault_drops;
-    fp.fault_dups = ms.fault_dups;
-    fp.fault_delays = ms.fault_delays;
-    for (auto& node : nodes) fp.mac_delivered += node->mac.stats().delivered;
-    fp.root_rx = log->rx;
-    fp.joined_permille = 1000;  // no routing layer to join
-    fp.crash_failures = crash_failures;
-    const radio::FaultInjectorStats& is = injector.stats();
-    fp.injected_faults =
-        is.dropped + is.corrupted + is.duplicated + is.delayed;
-    fp.transient_loops = cp.transient_loops;
-    fp.checks_passed = cp.checks + subchecks_passed;
-    return fp;
-  };
-  const auto finish = [&](std::string failure) {
-    ScenarioResult res;
-    res.ok = failure.empty();
-    res.failure = std::move(failure);
-    res.fingerprint = snapshot();
-    return res;
-  };
-
-  if (auto v = cp.advance(cfg.form_time); !v.empty()) {
-    return finish("formation: " + v);
+  void restart(std::size_t i) {
+    if (mesh) {
+      mesh->node(i).start(false);
+    } else {
+      line->station(i).mac.start();
+    }
   }
-
-  const bool clean = cfg.crashes.empty() &&
-                     cfg.frame_faults.drop_p == 0.0 &&
-                     cfg.frame_faults.corrupt_p == 0.0 &&
-                     cfg.frame_faults.duplicate_p == 0.0 &&
-                     cfg.frame_faults.delay_p == 0.0;
-  if (!clean) injector.enable();
-
-  std::vector<std::unique_ptr<dependability::CrashProcess>> procs;
-  std::vector<mac::Mac*> crash_macs;
-  std::unordered_set<std::size_t> crash_indices;
-  for (const CrashPlan& plan : cfg.crashes) {
-    const std::size_t idx = 1 + plan.node_index % (n - 1);
-    if (!crash_indices.insert(idx).second) continue;
-    mac::Mac* m = &nodes[idx]->mac;
-    dependability::FaultConfig fc;
-    fc.mttf_seconds = plan.mttf_s;
-    fc.mttr_seconds = plan.mttr_s;
-    fc.repair = plan.repair;
-    procs.push_back(std::make_unique<dependability::CrashProcess>(
-        sched, Rng(cfg.seed, 500 + static_cast<std::uint64_t>(idx)), fc,
-        [m, &crash_failures] {
-          ++crash_failures;
-          m->stop();
-        },
-        [m] { m->start(); }));
-    crash_macs.push_back(m);
-    procs.back()->start();
-  }
-
-  if (auto v = run_fault_window(cp, medium, sched,
-                                nodes[0]->radio.position(),
-                                sched.now() + cfg.fault_time,
-                                cfg.churn_slots);
-      !v.empty()) {
-    return finish("fault phase: " + v);
-  }
-
-  injector.disable();
-  for (std::size_t i = 0; i < procs.size(); ++i) {
-    procs[i]->stop();
-    if (!procs[i]->up()) crash_macs[i]->start();
-  }
-  if (auto v = cp.advance(sched.now() + cfg.heal_time); !v.empty()) {
-    return finish("heal: " + v);
-  }
-
-  // TDMA has no retransmission dedup above the MAC, so duplicates at the
-  // root are legitimate whenever acks can be lost; only delivery and
-  // payload integrity are invariant, and only in clean runs.
-  if (clean && log->rx == 0) {
-    return finish("delivery: clean TDMA line delivered nothing to the root");
-  }
-  if (!corrupting && log->malformed != 0) {
-    return finish("delivery: " + std::to_string(log->malformed) +
-                  " malformed payloads at the root without corruption");
-  }
-
-  ++cp.checks;
-  if (auto v = check_trace_wellformed(obsctx.tracer()); !v.empty()) {
-    return finish(v);
-  }
-
-  if (auto v = run_subchecks(cfg, subchecks_passed); !v.empty()) {
-    return finish(v);
-  }
-  return finish({});
-}
+};
 
 }  // namespace
 
@@ -773,7 +365,280 @@ ScenarioConfig generate_scenario(std::uint64_t seed,
 }
 
 ScenarioResult run_scenario(const ScenarioConfig& cfg) {
-  return cfg.mac == ScenarioMac::kTdma ? run_tdma(cfg) : run_mesh(cfg);
+  sim::Scheduler sched;
+  // Observability rides along with every fuzzed scenario: the contract is
+  // that tracing can be on anywhere without perturbing the simulation, so
+  // the fuzzer keeps it on everywhere and audits every span the run
+  // produced (check_trace_wellformed at the end). The bounded capacity
+  // also exercises the deterministic-drop path on chatty scenarios.
+  obs::Context obsctx(sched, 1u << 18);
+  obsctx.tracer().set_enabled(true);
+  radio::Medium medium(sched, propagation_for(cfg), cfg.seed);
+  medium.debug_set_skip_detach_cleanup(cfg.canary_skip_detach_cleanup);
+  radio::FaultInjector injector(medium, cfg.seed, cfg.frame_faults);
+
+  const std::size_t n = std::max<std::size_t>(cfg.nodes, 3);
+  auto log = std::make_unique<RootLog>();
+  World world;
+  if (cfg.mac == ScenarioMac::kTdma) {
+    mac::TdmaConfig tcfg;
+    tcfg.epoch = 1'000'000;
+    tcfg.slot = 40'000;
+    tcfg.staggered = true;
+    world.line.emplace(sched, medium, cfg.seed, n, cfg.spacing, tcfg);
+    // Forwarded payloads carry the true origin; the MAC-level src is
+    // just the last hop, so origin cross-checking is skipped.
+    world.line->start([log = log.get()](NodeId, BytesView p, double) {
+      log->record(0, p, /*check_origin=*/false);
+    });
+  } else {
+    const core::MacKind mac = cfg.mac == ScenarioMac::kCsma
+                                  ? core::MacKind::kCsma
+                              : cfg.mac == ScenarioMac::kLpl
+                                  ? core::MacKind::kLpl
+                                  : core::MacKind::kRiMac;
+    core::MeshNetwork& net = world.mesh.emplace(
+        sched, medium, Rng(cfg.seed, 5), core::paced_node_config(mac));
+    switch (cfg.topology) {
+      case ScenarioTopology::kLine: net.build_line(n, cfg.spacing); break;
+      case ScenarioTopology::kGrid: net.build_grid(n, cfg.spacing); break;
+      case ScenarioTopology::kRandomField:
+        net.build_random_field(n,
+                               cfg.spacing * std::sqrt(static_cast<double>(n)));
+        break;
+    }
+    net.start(0);
+    net.root().routing->set_delivery_handler(
+        [log = log.get()](NodeId origin, BytesView payload, std::uint8_t) {
+          log->record(origin, payload, /*check_origin=*/true);
+        });
+  }
+  core::MeshNetwork* mesh = world.mesh ? &*world.mesh : nullptr;
+
+  // Pre-scheduled periodic traffic from every non-root node, phased so
+  // senders never align. On the mesh the horizon extends past the
+  // nominal end so grace extensions (below) stay under load; surplus
+  // events simply never run. The line has no grace and falls quiet 2 s
+  // before the end.
+  const sim::Time end_time = cfg.form_time + cfg.fault_time + cfg.heal_time;
+  const sim::Time traffic_end = mesh ? end_time + 90_s : end_time - 2_s;
+  for (std::size_t i = 1; i < n; ++i) {
+    const auto origin = static_cast<std::uint32_t>(i);
+    const sim::Time phase =
+        200'000 + (static_cast<sim::Time>(i) * 7'919) % cfg.traffic_period;
+    std::uint32_t seq = 0;
+    for (sim::Time t = cfg.form_time / 2 + phase; t < traffic_end;
+         t += cfg.traffic_period) {
+      sched.schedule_at(t, [&world, i, origin, seq] {
+        Buffer p;
+        write_sample(p, origin, seq);
+        world.send_up(i, std::move(p));
+      });
+      ++seq;
+    }
+  }
+
+  // RNFD false-positive watch (clean scenarios only): the root stays up
+  // throughout, so no detector may ever declare it dead.
+  std::vector<std::unique_ptr<net::RnfdDetector>> detectors;
+  if (cfg.run_rnfd && mesh != nullptr) {
+    net::RnfdConfig rcfg;
+    if (cfg.mac != ScenarioMac::kCsma) {
+      // On duty-cycled MACs a broadcast occupies ~a full wake interval
+      // of airtime; 1s-paced gossip from every node would saturate the
+      // channel and manufacture the probe losses it then votes on.
+      rcfg.gossip_interval = 5'000'000;
+    }
+    for (std::size_t i = 1; i < n; ++i) {
+      detectors.push_back(std::make_unique<net::RnfdDetector>(
+          *mesh->node(i).routing, sched,
+          Rng(cfg.seed, 300 + static_cast<std::uint64_t>(i)), rcfg));
+    }
+    sched.schedule_at(cfg.form_time / 2, [&detectors] {
+      for (auto& d : detectors) d->start();
+    });
+  }
+
+  std::uint64_t crash_failures = 0;
+  std::uint64_t subchecks_passed = 0;
+  Checkpointer cp{sched, medium, mesh, cfg.trace, 0, 0};
+
+  const auto finish = [&](std::string failure) {
+    ScenarioResult res;
+    res.ok = failure.empty();
+    res.failure = std::move(failure);
+    Fingerprint& fp = res.fingerprint;
+    fp.final_time = sched.now();
+    fp.events = sched.executed_events();
+    const radio::MediumStats& ms = medium.stats();
+    fp.transmissions = ms.transmissions;
+    fp.deliveries = ms.deliveries;
+    fp.collisions = ms.collisions;
+    fp.snr_losses = ms.snr_losses;
+    fp.aborted = ms.aborted;
+    fp.fault_drops = ms.fault_drops;
+    fp.fault_dups = ms.fault_dups;
+    fp.fault_delays = ms.fault_delays;
+    for (std::size_t i = 0; i < n; ++i) {
+      fp.mac_delivered += world.mac(i).stats().delivered;
+      if (mesh) {
+        fp.parent_changes += mesh->node(i).routing->stats().parent_changes;
+      }
+    }
+    fp.root_rx = log->rx;
+    fp.joined_permille =
+        static_cast<std::uint64_t>(world.joined_fraction() * 1000.0 + 0.5);
+    fp.crash_failures = crash_failures;
+    const radio::FaultInjectorStats& is = injector.stats();
+    fp.injected_faults =
+        is.dropped + is.corrupted + is.duplicated + is.delayed;
+    fp.transient_loops = cp.transient_loops;
+    fp.checks_passed = cp.checks + subchecks_passed;
+    return res;
+  };
+
+  // ---- Phase 1: formation --------------------------------------------
+  if (auto v = cp.advance(cfg.form_time); !v.empty()) {
+    return finish("formation: " + v);
+  }
+  // Duty-cycled MACs on unlucky geometries may need a little extra; two
+  // bounded grace extensions keep the generator's time budget honest
+  // without flaking.
+  for (int grace = 0; grace < 2; ++grace) {
+    if (cfg.topology == ScenarioTopology::kRandomField) break;
+    if (world.joined_fraction() >= 1.0) break;
+    if (auto v = cp.advance(sched.now() + 15_s); !v.empty()) {
+      return finish("formation: " + v);
+    }
+  }
+  const double baseline = world.joined_fraction();
+  if (cfg.topology != ScenarioTopology::kRandomField && baseline < 1.0) {
+    return finish("formation: only " + std::to_string(baseline) +
+                  " of nodes joined the DODAG");
+  }
+
+  // ---- Phase 2: faults ------------------------------------------------
+  // The injector draws only from its own stream, so arming it when every
+  // fault probability is zero changes nothing.
+  injector.enable();
+  std::vector<std::unique_ptr<dependability::CrashProcess>> procs;
+  std::vector<std::size_t> crashed;
+  for (const CrashPlan& plan : cfg.crashes) {
+    const std::size_t idx = 1 + plan.node_index % (n - 1);
+    if (std::find(crashed.begin(), crashed.end(), idx) != crashed.end()) {
+      continue;  // one process per node
+    }
+    dependability::FaultConfig fc;
+    fc.mttf_seconds = plan.mttf_s;
+    fc.mttr_seconds = plan.mttr_s;
+    fc.repair = plan.repair;
+    procs.push_back(std::make_unique<dependability::CrashProcess>(
+        sched, Rng(cfg.seed, 500 + static_cast<std::uint64_t>(idx)), fc,
+        [&world, &crash_failures, idx] {
+          ++crash_failures;
+          world.crash(idx);
+        },
+        [&world, idx] { world.restart(idx); }));
+    crashed.push_back(idx);
+    procs.back()->start();
+  }
+
+  if (auto v = run_fault_window(cp, medium, sched, world.radio(0).position(),
+                                sched.now() + cfg.fault_time,
+                                cfg.churn_slots);
+      !v.empty()) {
+    return finish("fault phase: " + v);
+  }
+
+  // ---- Phase 3: heal --------------------------------------------------
+  injector.disable();
+  for (std::size_t i = 0; i < procs.size(); ++i) {
+    procs[i]->stop();
+    if (!procs[i]->up()) world.restart(crashed[i]);  // replace dead gear
+  }
+  // Version bump clears any stale state (rank lies from corrupted DIOs
+  // included) and forces a fresh DODAG.
+  if (mesh) mesh->root().routing->global_repair();
+  if (auto v = cp.advance(sched.now() + cfg.heal_time); !v.empty()) {
+    return finish("heal: " + v);
+  }
+
+  // ---- Final cross-layer invariants ----------------------------------
+  // Eventual repair: once faults stop, the DODAG must settle loop-free
+  // and fully joined. Bounded grace covers duty-cycled stragglers.
+  // On a settle failure the parent table is the evidence; append it so
+  // a replayed seed is diagnosable from the one-line report alone.
+  const auto settled = [&]() -> std::string {
+    if (mesh == nullptr) return {};
+    if (auto v = check_routing_acyclic(*mesh); !v.empty()) {
+      return "loop persists after heal: " + v + routing_table(*mesh);
+    }
+    const double joined = mesh->joined_fraction();
+    if (cfg.topology != ScenarioTopology::kRandomField && joined < 1.0) {
+      return "network never fully re-joined (" + std::to_string(joined) +
+             ")" + routing_table(*mesh);
+    }
+    if (cfg.topology == ScenarioTopology::kRandomField &&
+        joined + 1e-9 < baseline) {
+      return "joined fraction regressed (" + std::to_string(baseline) +
+             " -> " + std::to_string(joined) + ")";
+    }
+    return {};
+  };
+  std::string settle_fail = settled();
+  for (int grace = 0; grace < 2 && !settle_fail.empty(); ++grace) {
+    if (auto v = cp.advance(sched.now() + 15_s); !v.empty()) {
+      return finish("heal: " + v);
+    }
+    settle_fail = settled();
+  }
+  if (!settle_fail.empty()) {
+    return finish("heal: " + settle_fail);
+  }
+  const bool corrupting = cfg.frame_faults.corrupt_p > 0.0;
+  if (log->rx == 0) {
+    return finish("delivery: no data ever reached the root");
+  }
+  if (!corrupting && log->malformed != 0) {
+    return finish("delivery: " + std::to_string(log->malformed) +
+                  " malformed payloads at the root without corruption");
+  }
+  // The line has no retransmission dedup above the MAC, so duplicates at
+  // its root are legitimate whenever acks can be lost.
+  if (mesh && !corrupting && log->duplicates != 0) {
+    return finish("delivery: " + std::to_string(log->duplicates) +
+                  " duplicate (origin,seq) deliveries at the root");
+  }
+  for (auto& d : detectors) {
+    if (d->root_declared_dead()) {
+      std::string detail = "rnfd: live root declared dead (false positive) [";
+      for (std::size_t i = 0; i < detectors.size(); ++i) {
+        const net::RnfdStats& st = detectors[i]->stats();
+        char buf[96];
+        std::snprintf(buf, sizeof buf, "%s%zu:%s p=%llu/%llu ep=%llu sus=%zu%s",
+                      i ? " " : "", i + 1,
+                      detectors[i]->is_sentinel() ? "S" : "-",
+                      static_cast<unsigned long long>(st.probes_acked),
+                      static_cast<unsigned long long>(st.probes_sent),
+                      static_cast<unsigned long long>(st.epoch_advances),
+                      detectors[i]->counter().suspect_count(),
+                      detectors[i]->root_declared_dead() ? "!" : "");
+        detail += buf;
+      }
+      detail += "]";
+      return finish(detail);
+    }
+  }
+
+  ++cp.checks;
+  if (auto v = check_trace_wellformed(obsctx.tracer()); !v.empty()) {
+    return finish(v);
+  }
+
+  if (auto v = run_subchecks(cfg, subchecks_passed); !v.empty()) {
+    return finish(v);
+  }
+  return finish({});
 }
 
 }  // namespace iiot::testing

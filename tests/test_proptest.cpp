@@ -33,24 +33,67 @@ TEST(Proptest, GeneratorIsPureFunctionOfSeed) {
   }
 }
 
+/// Recorded fingerprints. A change to run_scenario that moves an event, a
+/// tie-break or a `chk=` count changes them; only a deliberate behaviour
+/// change may re-record them.
+struct PinnedRun {
+  std::uint64_t seed;
+  ScenarioMac mac;
+  const char* fingerprint;
+};
+constexpr PinnedRun kPinned[] = {
+    // Each MAC's first generated seed (seed_with_mac), in MAC order.
+    {3, ScenarioMac::kCsma,
+     "t=111000000 ev=7164 tx=1769 rx=13997 col=31 snr=118 abrt=3 fdrop=0 "
+     "fdup=0 fdly=0 macok=945 root=704 repar=16 join=1000 crash=0 inj=0 "
+     "loop=0 chk=115"},
+    {2, ScenarioMac::kLpl,
+     "t=168000000 ev=110531 tx=32712 rx=40461 col=1116 snr=0 abrt=439 "
+     "fdrop=0 fdup=0 fdly=0 macok=111 root=70 repar=8 join=1000 crash=0 "
+     "inj=0 loop=0 chk=171"},
+    {17, ScenarioMac::kRiMac,
+     "t=177000000 ev=7940 tx=1889 rx=1642 col=388 snr=0 abrt=205 fdrop=19 "
+     "fdup=11 fdly=11 macok=75 root=33 repar=8 join=1000 crash=0 inj=41 "
+     "loop=0 chk=180"},
+    {1, ScenarioMac::kTdma,
+     "t=108000000 ev=9734 tx=2160 rx=2013 col=0 snr=0 abrt=16 fdrop=74 "
+     "fdup=0 fdly=76 macok=936 root=383 repar=0 join=1000 crash=3 inj=150 "
+     "loop=0 chk=113"},
+    // TDMA with crashes but no frame faults: the injector is armed with
+    // all-zero probabilities and must change nothing.
+    {18, ScenarioMac::kTdma,
+     "t=111000000 ev=4337 tx=825 rx=750 col=0 snr=0 abrt=0 fdrop=0 fdup=0 "
+     "fdly=0 macok=375 root=200 repar=0 join=1000 crash=9 inj=0 loop=0 "
+     "chk=113"},
+    // RI-MAC line with a churn episode, a crash and frame faults.
+    {20, ScenarioMac::kRiMac,
+     "t=149000000 ev=11722 tx=2857 rx=2743 col=244 snr=188 abrt=117 "
+     "fdrop=1 fdup=18 fdly=2 macok=227 root=65 repar=22 join=1000 crash=4 "
+     "inj=21 loop=0 chk=153"},
+};
+
 // The replay contract: the seed alone reproduces a run bit-identically.
 // Fingerprints are pure integer counters across every layer (scheduler
 // event count, radio deliveries/collisions, routing parent changes, ...),
 // so equality here is equality of the whole execution, not a summary.
 TEST(Proptest, ReplayIsBitIdenticalForEveryMac) {
-  for (ScenarioMac mac : {ScenarioMac::kCsma, ScenarioMac::kLpl,
-                          ScenarioMac::kRiMac, ScenarioMac::kTdma}) {
-    const auto seed = seed_with_mac(mac);
-    ASSERT_TRUE(seed.has_value()) << to_string(mac);
-    const ScenarioConfig cfg = generate_scenario(*seed);
+  for (const PinnedRun& pin : kPinned) {
+    const ScenarioConfig cfg = generate_scenario(pin.seed);
+    ASSERT_EQ(cfg.mac, pin.mac) << "seed " << pin.seed;
     const ScenarioResult first = run_scenario(cfg);
     const ScenarioResult second = run_scenario(cfg);
     EXPECT_TRUE(first.fingerprint == second.fingerprint)
-        << to_string(mac) << " seed " << *seed << "\n  first:  "
+        << to_string(pin.mac) << " seed " << pin.seed << "\n  first:  "
         << first.fingerprint.to_string() << "\n  second: "
         << second.fingerprint.to_string();
     EXPECT_EQ(first.ok, second.ok);
     EXPECT_EQ(first.failure, second.failure);
+    EXPECT_TRUE(first.ok) << first.failure;
+    EXPECT_EQ(first.fingerprint.to_string(), pin.fingerprint)
+        << to_string(pin.mac) << " seed " << pin.seed;
+  }
+  for (std::size_t k = 0; k < 4; ++k) {
+    EXPECT_EQ(seed_with_mac(kPinned[k].mac), kPinned[k].seed);
   }
 }
 
