@@ -27,8 +27,9 @@
 //                   [--compare=BASELINE.json] [--min-ratio=R]
 //
 // --compare gates the speedup ratios against the newest baseline run
-// line (default min-ratio 0.8), mirroring bench_perf_core's perf gate; a
-// missing or empty baseline exits 3 before anything runs.
+// line (default min-ratio 0.8), mirroring bench_perf_core's perf gate,
+// and requires the fan-out's exact `delivered` count to equal the
+// baseline's; a missing or empty baseline exits 3 before anything runs.
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -498,9 +499,13 @@ int main(int argc, char** argv) {
     }
   }
 
-  const bool gate_ok =
-      base_line.empty() ||
-      bench::ratio_gate(base_line, run.str(), kGated, min_ratio);
+  bool gate_ok = true;
+  if (!base_line.empty()) {
+    gate_ok = bench::ratio_gate(base_line, run.str(), kGated, min_ratio);
+    // The fan-out's delivery count is exact on every host: a change in it
+    // is a change in what the bus does, whatever the timings say.
+    gate_ok = bench::digest_gate(base_line, run.str(), "delivered") && gate_ok;
+  }
   if (!best.deterministic) {
     std::printf("determinism gate: FAILED (results diverged across reps)\n");
   }

@@ -7,19 +7,11 @@
 // (sense → store → decide → actuate) under the E2-style synced MAC.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <memory>
+#include <string>
 #include <vector>
 
-#include "backend/rules.hpp"
-#include "backend/timeseries.hpp"
-#include "backend/topic_bus.hpp"
-#include "core/network.hpp"
-#include "obs/context.hpp"
-#include "radio/medium.hpp"
 #include "scenarios/specs.hpp"
 #include "scenarios/world_util.hpp"
-#include "sim/scheduler.hpp"
 
 namespace iiot::scenarios::detail {
 
@@ -65,17 +57,15 @@ double station_temp(std::size_t i, std::uint32_t k, bool hot) {
   return base + wiggle + (hot ? 45.0 : 0.0);
 }
 
+std::string station_topic(std::size_t i) {
+  return "factory/st" + std::to_string(i) + "/temp";
+}
+
 ShardResult run_shard(const RunParams& p, std::size_t shard) {
   const std::uint64_t wseed = shard_seed(p.seed, shard, kSalt);
   const std::size_t n = p.nodes_per_shard;
-
-  sim::Scheduler sched;
-  obs::Context obsctx(sched, 1u << 18);
-  obsctx.tracer().set_enabled(p.tracing);
-  radio::PropagationConfig pcfg;
-  pcfg.exponent = 3.0;
-  pcfg.shadowing_sigma_db = 0.0;  // curated worlds stay libm-drift-free
-  radio::Medium medium(sched, pcfg, wseed);
+  Shard sh("factory_line", p, wseed);
+  sim::Scheduler& sched = sh.sched;
 
   // The staggered schedule needs (depth_max + 1) slots per epoch for a
   // sample to ride the whole chain within one epoch.
@@ -83,31 +73,9 @@ ShardResult run_shard(const RunParams& p, std::size_t shard) {
   tcfg.slot = kSlot;
   tcfg.epoch = static_cast<sim::Duration>(n + 2) * kSlot;
   tcfg.staggered = true;
-  core::TdmaLine line(sched, medium, wseed, n, 18.0, tcfg);
+  core::TdmaLine line(sched, sh.medium, wseed, n, 18.0, tcfg);
 
   // ---- backend tier at the line controller ---------------------------
-  backend::TopicBus bus;
-  backend::TimeSeriesStore store;
-  std::vector<backend::SeriesId> series(n, backend::kInvalidSeries);
-  std::vector<backend::TopicBus::SubId> ingest_subs;
-  for (std::size_t i = 1; i < n; ++i) {
-    const std::string topic = "factory/st" + std::to_string(i) + "/temp";
-    series[i] = store.intern(topic);
-    // Ingest before any rule subscribes: the bus dispatches in SubId
-    // order, so the triggering sample is already stored when a window
-    // rule evaluates (the core::System ordering invariant).
-    ingest_subs.push_back(bus.subscribe(
-        topic, [&store, sid = series[i], &sched](const std::string&,
-                                                 BytesView payload) {
-          char buf[64];
-          const std::size_t len = std::min(payload.size(), sizeof buf - 1);
-          __builtin_memcpy(buf, payload.data(), len);
-          buf[len] = '\0';
-          store.append(sid, sched.now(), std::strtod(buf, nullptr));
-        }));
-  }
-  backend::RuleEngine rules(bus, &store);
-
   // Interlock: sustained overheat (trailing-window average) halts the
   // line. The latch turns repeated firings of one episode into one trip.
   const std::size_t hot_station = n / 2;
@@ -119,7 +87,7 @@ ShardResult run_shard(const RunParams& p, std::size_t shard) {
   bool halted = false;
   sim::Time first_trip_at = 0;
   backend::WindowCondition overheat;
-  overheat.topic_filter = "factory/st" + std::to_string(hot_station) + "/temp";
+  overheat.topic_filter = station_topic(hot_station);
   overheat.window = 4 * period;
   overheat.fn = agg::AggFn::kAvg;
   overheat.op = backend::CmpOp::kGreater;
@@ -135,20 +103,19 @@ ShardResult run_shard(const RunParams& p, std::size_t shard) {
     if (first_trip_at == 0) first_trip_at = sched.now();
     sched.schedule_after(10'000'000, [&halted] { halted = false; });
   };
-  rules.add_window_rule("line-interlock", overheat, halt);
+  auto& bus = sh.sys.bus();
+  sh.sys.rules().add_window_rule("line-interlock", overheat, halt);
   bus.subscribe("cmd/line/halt",
                 [&halt_cmds](const std::string&, BytesView) { ++halt_cmds; });
 
   // ---- forwarding chain + controller ingest --------------------------
-  auto ledger = std::make_unique<detail::Ledger>();
-  ledger->sink = [&](std::uint32_t origin, double value, sim::Time) {
+  sh.ledger.sink = [&bus](std::uint32_t origin, double value, sim::Time) {
     char buf[32];
     std::snprintf(buf, sizeof buf, "%.4f", value);
-    bus.publish("factory/st" + std::to_string(origin) + "/temp",
-                std::string(buf));
+    bus.publish(station_topic(origin), std::string(buf));
   };
-  line.start([lg = ledger.get(), &sched](NodeId, BytesView pl, double) {
-    lg->record(pl, sched.now());
+  line.start([&sh](NodeId, BytesView pl, double) {
+    sh.ledger.record(pl, sh.sched.now());
   });
 
   // ---- pre-scheduled sampling ----------------------------------------
@@ -159,7 +126,6 @@ ShardResult run_shard(const RunParams& p, std::size_t shard) {
   const sim::Time last_send = end - 5 * tcfg.epoch;
   const sim::Time hot_from = start + (p.measure_time * 2) / 5;
   const sim::Time hot_to = start + (p.measure_time * 11) / 20;
-  std::uint64_t sent = 0;
   sim::Time first_hot_send = 0;
   for (std::size_t i = 1; i < n; ++i) {
     const auto origin = static_cast<std::uint32_t>(i);
@@ -170,62 +136,47 @@ ShardResult run_shard(const RunParams& p, std::size_t shard) {
     for (sim::Time t = start + phase; t < last_send; t += period) {
       const bool hot = i == hot_station && t >= hot_from && t < hot_to;
       if (hot && first_hot_send == 0) first_hot_send = t;
-      sched.schedule_at(t, [&line, origin, seq, hot, i, &sent, &sched] {
+      sched.schedule_at(t, [&line, &sh, origin, seq, hot, i] {
         Buffer pl;
-        write_timed(pl, origin, seq, sched.now(),
+        write_timed(pl, origin, seq, sh.sched.now(),
                     station_temp(i, seq, hot));
-        if (line.send_up(i, std::move(pl))) ++sent;
+        if (line.send_up(i, std::move(pl))) ++sh.sent;
       });
       ++seq;
     }
   }
 
   // ---- run ------------------------------------------------------------
-  ShardResult r;
-  r.nodes = n;
-  testing::Checkpointer cp{sched, medium, nullptr};
-  if (auto v = cp.advance(end); !v.empty()) {
-    r.failure = "factory_line: " + v;
-    return r;
-  }
-
-  if (ledger->malformed != 0) {
-    r.failure = "factory_line: malformed payloads at the controller";
-    return r;
+  if (!sh.advance(end, "run")) return sh.result();
+  if (sh.ledger.malformed != 0) {
+    return sh.fail("malformed payloads at the controller");
   }
   if (trips == 0) {
-    r.failure = "factory_line: overheat episode never tripped the interlock";
-    return r;
+    return sh.fail("overheat episode never tripped the interlock");
   }
   if (halt_cmds < trips) {
-    r.failure = "factory_line: interlock fired without a halt command";
-    return r;
+    return sh.fail("interlock fired without a halt command");
   }
-  if (p.tracing) {
-    if (auto v = testing::check_trace_wellformed(obsctx.tracer());
-        !v.empty()) {
-      r.failure = "factory_line: " + v;
-      return r;
-    }
+  // The store also holds the halt commands: count the station series.
+  const auto& store = sh.sys.store();
+  std::uint64_t points = 0;
+  for (std::size_t i = 1; i < n; ++i) {
+    points += store.points(store.find(station_topic(i)));
+  }
+  if (points != sh.ledger.latencies_us.size()) {
+    return sh.fail("backend stored " + std::to_string(points) +
+                   " points for " +
+                   std::to_string(sh.ledger.latencies_us.size()) +
+                   " delivered samples");
   }
 
-  r.sent = sent;
-  r.delivered = ledger->latencies_us.size();
-  r.latencies_us = std::move(ledger->latencies_us);
-  for (std::size_t i = 1; i < n; ++i) {
-    energy::Meter& meter = line.station(i).meter;
-    meter.settle(sched.now());
-    r.duty_sum += meter.duty_cycle();
-    ++r.duty_nodes;
-  }
   const double trip_latency_s =
       first_hot_send != 0 && first_trip_at > first_hot_send
           ? static_cast<double>(first_trip_at - first_hot_send) / 1e6
           : 0.0;
-  r.extras = {static_cast<double>(trips), trip_latency_s,
-              static_cast<double>(store.stats().appends),
-              static_cast<double>(rules.firings())};
-  return r;
+  return sh.finish(line, {static_cast<double>(trips), trip_latency_s,
+                          static_cast<double>(points),
+                          static_cast<double>(sh.sys.rules().firings())});
 }
 
 std::vector<ExtraKpi> extras() {

@@ -7,19 +7,11 @@
 // story (E1) plus the backend query path (E9) as one standing scenario.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "backend/rules.hpp"
-#include "backend/timeseries.hpp"
-#include "backend/topic_bus.hpp"
-#include "obs/context.hpp"
-#include "radio/medium.hpp"
 #include "scenarios/specs.hpp"
 #include "scenarios/world_util.hpp"
-#include "sim/scheduler.hpp"
 
 namespace iiot::scenarios::detail {
 
@@ -70,40 +62,19 @@ double zone_temp(std::size_t zone, std::uint32_t k, bool hot) {
 ShardResult run_shard(const RunParams& p, std::size_t shard) {
   const std::uint64_t wseed = shard_seed(p.seed, shard, kSalt);
   const std::size_t n = p.nodes_per_shard;
+  Shard sh("hvac_fleet", p, wseed);
 
-  sim::Scheduler sched;
-  obs::Context obsctx(sched, 1u << 18);
-  obsctx.tracer().set_enabled(p.tracing);
-  radio::PropagationConfig pcfg;
-  pcfg.exponent = 3.0;
-  pcfg.shadowing_sigma_db = 0.0;
-  radio::Medium medium(sched, pcfg, wseed);
-
-  core::MeshNetwork net(sched, medium, Rng(wseed, 5),
+  core::MeshNetwork net(sh.sched, sh.medium, Rng(wseed, 5),
                         core::paced_node_config(core::MacKind::kLpl));
   net.build_grid(n, 14.0);
   net.start(0);
+  sh.collect(net);
 
   // ---- building backend ----------------------------------------------
-  backend::TopicBus bus;
-  backend::TimeSeriesStore store;
-  std::vector<backend::SeriesId> series(n, backend::kInvalidSeries);
-  std::vector<backend::TopicBus::SubId> ingest_subs;
   const std::string bprefix = "hvac/b" + std::to_string(shard);
-  for (std::size_t i = 1; i < n; ++i) {
-    const std::string topic = bprefix + "/z" + std::to_string(i) + "/temp";
-    series[i] = store.intern(topic);
-    ingest_subs.push_back(bus.subscribe(
-        topic, [&store, sid = series[i], &sched](const std::string&,
-                                                 BytesView payload) {
-          char buf[64];
-          const std::size_t len = std::min(payload.size(), sizeof buf - 1);
-          __builtin_memcpy(buf, payload.data(), len);
-          buf[len] = '\0';
-          store.append(sid, sched.now(), std::strtod(buf, nullptr));
-        }));
-  }
-  backend::RuleEngine rules(bus, &store);
+  const auto zone_topic = [&bprefix](std::size_t zone) {
+    return bprefix + "/z" + std::to_string(zone) + "/temp";
+  };
 
   // Sampling period scales with building size — LPL channel capacity:
   // a multi-hop sample costs ~avg-depth x half the 500 ms wake interval
@@ -117,8 +88,7 @@ ShardResult run_shard(const RunParams& p, std::size_t shard) {
   const std::size_t hot_zone = 1 + (n / 2) % (n - 1);
   std::uint64_t alerts = 0;
   backend::WindowCondition overheat;
-  overheat.topic_filter =
-      bprefix + "/z" + std::to_string(hot_zone) + "/temp";
+  overheat.topic_filter = zone_topic(hot_zone);
   // Half a sampling period: the window normally holds just the latest
   // reading, so one delivered hot sample fires the rule — LPL loses a
   // few percent of samples, and requiring two survivors in one window
@@ -134,131 +104,95 @@ ShardResult run_shard(const RunParams& p, std::size_t shard) {
   alert.command_topic = "cmd/b" + std::to_string(shard) + "/hvac/boost";
   alert.command_payload = "1";
   alert.callback = [&alerts](const backend::RuleFiring&) { ++alerts; };
-  rules.add_window_rule("zone-overheat", overheat, alert);
+  sh.sys.rules().add_window_rule("zone-overheat", overheat, alert);
 
-  auto ledger = std::make_unique<detail::Ledger>();
   std::uint64_t hot_delivered = 0;
-  ledger->sink = [&](std::uint32_t origin, double value, sim::Time) {
+  sh.ledger.sink = [&](std::uint32_t origin, double value, sim::Time) {
     const std::size_t zone = origin;  // mesh node id == zone index
     if (zone == 0 || zone >= n) return;
     if (value > 25.0) ++hot_delivered;
     char buf[32];
     std::snprintf(buf, sizeof buf, "%.4f", value);
-    bus.publish(bprefix + "/z" + std::to_string(zone) + "/temp",
-                std::string(buf));
+    sh.sys.bus().publish(zone_topic(zone), std::string(buf));
   };
-  net.root().routing->set_delivery_handler(
-      [lg = ledger.get(), &sched](NodeId, BytesView payload, std::uint8_t) {
-        lg->record(payload, sched.now());
-      });
 
   // ---- formation ------------------------------------------------------
-  ShardResult r;
-  r.nodes = n;
-  testing::Checkpointer cp{sched, medium, &net};
-  const sim::Time form = 60'000'000;
-  if (auto v = cp.advance(form); !v.empty()) {
-    r.failure = "hvac_fleet: formation: " + v;
-    return r;
-  }
-  for (int grace = 0; grace < 4 && net.joined_fraction() < 1.0; ++grace) {
-    if (auto v = cp.advance(sched.now() + 15'000'000); !v.empty()) {
-      r.failure = "hvac_fleet: formation: " + v;
-      return r;
-    }
+  if (!sh.advance(60'000'000, "formation") ||
+      !sh.settle(4, "formation",
+                 [&net] { return net.joined_fraction() < 1.0; })) {
+    return sh.result();
   }
   if (net.joined_fraction() < 1.0) {
-    r.failure = "hvac_fleet: building mesh never fully joined (" +
-                std::to_string(net.joined_fraction()) + ")";
-    return r;
+    return sh.fail("building mesh never fully joined (" +
+                   std::to_string(net.joined_fraction()) + ")");
   }
 
   // ---- duty-cycled sampling ------------------------------------------
-  const sim::Time start = sched.now();
+  // Send phases spread evenly across the whole period: a burst of
+  // near-simultaneous LPL strobes from every zone is the congestion
+  // worst case, not the average one. Samples 2 and 3 of the hot zone run
+  // hot: index-based so every tier (whose period differs) sees exactly
+  // two hot samples.
+  const sim::Time start = sh.sched.now();
   const sim::Time end = start + p.measure_time;
-  const sim::Time last_send = end - 10'000'000;
-  std::uint64_t sent = 0;
-  for (std::size_t i = 1; i < n; ++i) {
-    core::MeshNode* node = &net.node(i);
-    const auto origin = static_cast<std::uint32_t>(i);
-    // Spread send phases evenly across the whole period: a burst of
-    // near-simultaneous LPL strobes from every zone is the congestion
-    // worst case, not the average one.
-    const sim::Time phase =
-        200'000 + (static_cast<sim::Time>(i) * period) / n;
-    std::uint32_t seq = 0;
-    for (sim::Time t = start + phase; t < last_send; t += period) {
-      // Samples 2 and 3 of the hot zone run hot: index-based so every
-      // tier (whose period differs) sees exactly two hot samples.
-      const bool hot = i == hot_zone && seq >= 2 && seq <= 3;
-      sched.schedule_at(t, [node, origin, seq, hot, i, &sent, &sched] {
-        if (!node->routing->joined()) return;
-        Buffer pl;
-        write_timed(pl, origin, seq, sched.now(), zone_temp(i, seq, hot));
-        if (node->routing->send_up(std::move(pl))) ++sent;
+  sh.sample(
+      net, start, end - 10'000'000, period,
+      [&](std::size_t i) {
+        return 200'000 + (static_cast<sim::Time>(i) * period) / n;
+      },
+      [hot_zone](std::size_t i, std::uint32_t seq) {
+        return zone_temp(i, seq, i == hot_zone && seq >= 2 && seq <= 3);
       });
-      ++seq;
-    }
-  }
-
-  if (auto v = cp.advance(end); !v.empty()) {
-    r.failure = "hvac_fleet: " + v;
-    return r;
-  }
+  if (!sh.advance(end, "measurement")) return sh.result();
 
   // ---- final invariants ----------------------------------------------
   if (auto v = testing::check_routing_acyclic(net); !v.empty()) {
-    r.failure = "hvac_fleet: " + v;
-    return r;
+    return sh.fail(v);
   }
-  if (ledger->malformed != 0 || ledger->duplicates != 0) {
-    r.failure = "hvac_fleet: malformed or duplicate deliveries at the root";
-    return r;
+  if (sh.ledger.malformed != 0 || sh.ledger.duplicates != 0) {
+    return sh.fail("malformed or duplicate deliveries at the root");
   }
-  if (ledger->latencies_us.empty()) {
-    r.failure = "hvac_fleet: no zone sample ever reached the router";
-    return r;
+  if (sh.ledger.latencies_us.empty()) {
+    return sh.fail("no zone sample ever reached the router");
   }
   // Exact implication, not a delivery bet: every delivered hot sample
   // must fire the rule, but a building whose two hot samples were both
   // lost in the mesh has nothing to alert on (the delivery-ratio KPI is
   // what judges the mesh).
   if (hot_delivered > 0 && alerts == 0) {
-    r.failure = "hvac_fleet: hot samples reached the store but the "
-                "overheat rule never fired";
-    return r;
-  }
-  if (p.tracing) {
-    if (auto v = testing::check_trace_wellformed(obsctx.tracer());
-        !v.empty()) {
-      r.failure = "hvac_fleet: " + v;
-      return r;
-    }
+    return sh.fail("hot samples reached the store but the overheat rule "
+                   "never fired");
   }
 
   // ---- backend rollup query ------------------------------------------
   // Building average via the store's chunk-rollup aggregate path; the
-  // downsample pass keeps the bucketed query path exercised too.
+  // downsample pass keeps the bucketed query path exercised too. The
+  // store also holds the boost commands: count the zone series.
+  const auto& store = sh.sys.store();
   agg::PartialAggregate building;
+  std::uint64_t points = 0;
   for (std::size_t i = 1; i < n; ++i) {
-    building.merge(store.aggregate(series[i], start, end));
+    const backend::SeriesId id = store.find(zone_topic(i));
+    building.merge(store.aggregate(id, start, end));
+    points += store.points(id);
   }
-  if (building.count != store.stats().appends) {
-    r.failure = "hvac_fleet: rollup aggregate missed stored points";
-    return r;
+  if (building.count != points) {
+    return sh.fail("rollup aggregate missed stored points");
+  }
+  if (points != sh.ledger.latencies_us.size()) {
+    return sh.fail("backend stored " + std::to_string(points) +
+                   " points for " +
+                   std::to_string(sh.ledger.latencies_us.size()) +
+                   " delivered samples");
   }
   const auto buckets =
-      store.downsample(series[hot_zone], start, end, 30'000'000);
+      store.downsample(store.find(zone_topic(hot_zone)), start, end,
+                       30'000'000);
 
-  r.sent = sent;
-  r.delivered = ledger->latencies_us.size();
-  r.latencies_us = std::move(ledger->latencies_us);
-  collect_duty(net, sched.now(), r.duty_sum, r.duty_nodes);
-  r.extras = {building.evaluate(agg::AggFn::kAvg),
-              static_cast<double>(alerts),
-              static_cast<double>(store.stats().appends),
-              static_cast<double>(buckets.size())};
-  return r;
+  return sh.finish(net, {building.evaluate(agg::AggFn::kAvg),
+                         static_cast<double>(alerts),
+                         static_cast<double>(points),
+                         static_cast<double>(buckets.size())});
 }
 
 std::vector<ExtraKpi> extras() {

@@ -11,11 +11,8 @@
 #include <vector>
 
 #include "net/rnfd.hpp"
-#include "obs/context.hpp"
-#include "radio/medium.hpp"
 #include "scenarios/specs.hpp"
 #include "scenarios/world_util.hpp"
-#include "sim/scheduler.hpp"
 
 namespace iiot::scenarios::detail {
 
@@ -60,14 +57,8 @@ double gas_level(std::size_t i, std::uint32_t k) {
 ShardResult run_shard(const RunParams& p, std::size_t shard) {
   const std::uint64_t wseed = shard_seed(p.seed, shard, kSalt);
   const std::size_t n = p.nodes_per_shard;
-
-  sim::Scheduler sched;
-  obs::Context obsctx(sched, 1u << 18);
-  obsctx.tracer().set_enabled(p.tracing);
-  radio::PropagationConfig pcfg;
-  pcfg.exponent = 3.0;
-  pcfg.shadowing_sigma_db = 0.0;
-  radio::Medium medium(sched, pcfg, wseed);
+  Shard sh("mine_tunnel", p, wseed);
+  sim::Scheduler& sched = sh.sched;
 
   core::NodeConfig ncfg = core::paced_node_config(core::MacKind::kCsma);
   // Deep chains: the default TTL (32) would drop legitimate traffic on
@@ -80,15 +71,10 @@ ShardResult run_shard(const RunParams& p, std::size_t shard) {
   // misses. On a chain there is no alternative parent anyway, so local
   // abandonment buys nothing.
   ncfg.rpl.max_parent_failures = 1 << 30;
-  core::MeshNetwork net(sched, medium, Rng(wseed, 5), ncfg);
+  core::MeshNetwork net(sched, sh.medium, Rng(wseed, 5), ncfg);
   net.build_line(n, 18.0);
   net.start(0);
-
-  auto ledger = std::make_unique<detail::Ledger>();
-  net.root().routing->set_delivery_handler(
-      [lg = ledger.get(), &sched](NodeId, BytesView payload, std::uint8_t) {
-        lg->record(payload, sched.now());
-      });
+  sh.collect(net);
 
   // ---- RNFD on every non-portal node ---------------------------------
   // On a chain exactly one node is a sentinel, so the quorum floor is 1;
@@ -110,59 +96,35 @@ ShardResult run_shard(const RunParams& p, std::size_t shard) {
   }
 
   // ---- formation ------------------------------------------------------
-  ShardResult r;
-  r.nodes = n;
-  testing::Checkpointer cp{sched, medium, &net};
-  const sim::Duration form = 25'000'000 + (n / 10) * 5'000'000;
-  if (auto v = cp.advance(form); !v.empty()) {
-    r.failure = "mine_tunnel: formation: " + v;
-    return r;
+  const auto unjoined = [&net] { return net.joined_fraction() < 1.0; };
+  if (!sh.advance(25'000'000 + (n / 10) * 5'000'000, "formation") ||
+      !sh.settle(4, "formation", unjoined)) {
+    return sh.result();
   }
-  for (int grace = 0; grace < 4 && net.joined_fraction() < 1.0; ++grace) {
-    if (auto v = cp.advance(sched.now() + 15'000'000); !v.empty()) {
-      r.failure = "mine_tunnel: formation: " + v;
-      return r;
-    }
-  }
-  if (net.joined_fraction() < 1.0) {
-    r.failure = "mine_tunnel: chain never fully joined (" +
-                std::to_string(net.joined_fraction()) + ")";
-    return r;
+  if (unjoined()) {
+    return sh.fail("chain never fully joined (" +
+                   std::to_string(net.joined_fraction()) + ")");
   }
   for (auto& d : detectors) d->start();
 
   // ---- pre-scheduled traffic -----------------------------------------
-  const sim::Time start = sched.now();
-  const sim::Time end = start + p.measure_time;
   // Gas reports keep flowing through the post-replacement loop-settle
   // window: the data-plane rank-inconsistency check is what resolves
   // transient RPL loops quickly — a silent chain leaves them to slow
-  // trickle (and keeps proving portal liveness to RNFD for free).
-  const int settle_rounds = 4 + static_cast<int>(n / 10);
-  // Cover the re-join grace and verdict-settle rounds too: loops that
+  // trickle (and keeps proving portal liveness to RNFD for free). They
+  // cover the re-join grace and verdict-settle rounds too: loops that
   // form late still need data flowing (the data-plane check escalates
   // repairs), and traffic keeps proving portal liveness to RNFD.
-  const sim::Time traffic_end =
-      end +
-      static_cast<sim::Duration>(4 + 2 * settle_rounds) * 15'000'000;
-  std::uint64_t sent = 0;
+  const sim::Time start = sched.now();
+  const sim::Time end = start + p.measure_time;
+  const int settle_rounds = 4 + static_cast<int>(n / 10);
   const sim::Duration period = 3'000'000;
-  for (std::size_t i = 1; i < n; ++i) {
-    core::MeshNode* node = &net.node(i);
-    const auto origin = static_cast<std::uint32_t>(i);
-    const sim::Time phase =
-        200'000 + (static_cast<sim::Time>(i) * 7'919) % period;
-    std::uint32_t seq = 0;
-    for (sim::Time t = start + phase; t < traffic_end; t += period) {
-      sched.schedule_at(t, [node, origin, seq, i, &sent, &sched] {
-        if (!node->routing->joined() || node->routing->is_root()) return;
-        Buffer pl;
-        write_timed(pl, origin, seq, sched.now(), gas_level(i, seq));
-        if (node->routing->send_up(std::move(pl))) ++sent;
-      });
-      ++seq;
-    }
-  }
+  sh.sample(
+      net, start, end + (4 + 2 * settle_rounds) * Shard::kRound, period,
+      [](std::size_t i) {
+        return 200'000 + (static_cast<sim::Time>(i) * 7'919) % period;
+      },
+      gas_level);
 
   // ---- schedule: clean → partition/repair → portal crash → replace ----
   const sim::Time part_at = start + 50'000'000;
@@ -171,75 +133,34 @@ ShardResult run_shard(const RunParams& p, std::size_t shard) {
   const sim::Time replace_at = crash_at + 45'000'000;
   const std::size_t relay = std::max<std::size_t>(2, n / 3);
 
-  if (auto v = cp.advance(part_at); !v.empty()) {
-    r.failure = "mine_tunnel: clean phase: " + v;
-    return r;
-  }
+  if (!sh.advance(part_at, "clean phase")) return sh.result();
   net.node(relay).stop();  // rockfall takes out a mid-chain relay
-  if (auto v = cp.advance(part_heal); !v.empty()) {
-    r.failure = "mine_tunnel: partition: " + v;
-    return r;
-  }
+  if (!sh.advance(part_heal, "partition")) return sh.result();
   net.node(relay).start(false);
   net.root().routing->global_repair();
-  if (auto v = cp.advance(crash_at); !v.empty()) {
-    r.failure = "mine_tunnel: repair: " + v;
-    return r;
-  }
+  if (!sh.advance(crash_at, "repair")) return sh.result();
   if (detected_at != 0) {
-    r.failure = "mine_tunnel: RNFD false positive before the portal crash";
-    return r;
+    return sh.fail("RNFD false positive before the portal crash");
   }
 
   net.root().stop();  // portal router dies
   const sim::Time crash_time = sched.now();
-  if (auto v = cp.advance(replace_at); !v.empty()) {
-    r.failure = "mine_tunnel: portal crash: " + v;
-    return r;
-  }
+  if (!sh.advance(replace_at, "portal crash")) return sh.result();
   if (detected_at == 0) {
-    r.failure = "mine_tunnel: RNFD never detected the portal crash";
-    return r;
+    return sh.fail("RNFD never detected the portal crash");
   }
 
   net.root().start(true);  // replacement router at the portal
   net.root().routing->global_repair();
-  if (auto v = cp.advance(end); !v.empty()) {
-    r.failure = "mine_tunnel: replacement: " + v;
-    return r;
+  if (!sh.advance(end, "replacement") ||
+      !sh.settle(4, "re-join", unjoined)) {
+    return sh.result();
   }
-  for (int grace = 0; grace < 4 && net.joined_fraction() < 1.0; ++grace) {
-    if (auto v = cp.advance(sched.now() + 15'000'000); !v.empty()) {
-      r.failure = "mine_tunnel: re-join: " + v;
-      return r;
-    }
+  if (unjoined()) {
+    return sh.fail("chain never re-joined after replacement (" +
+                   std::to_string(net.joined_fraction()) + ")");
   }
-  if (net.joined_fraction() < 1.0) {
-    r.failure = "mine_tunnel: chain never re-joined after replacement (" +
-                std::to_string(net.joined_fraction()) + ")";
-    return r;
-  }
-  // RPL loops are transient by contract: the still-running gas traffic
-  // trips the data-plane inconsistency check and trickle re-converges —
-  // the invariant is "eventually acyclic", given bounded settle time.
-  // While unconverged the portal escalates with sparse version bumps
-  // (each obsoletes every stale entry at once), never in the last three
-  // rounds so the final checks land on a converged chain.
-  std::string acyclic = testing::check_routing_acyclic(net);
-  for (int grace = 0; grace < settle_rounds && !acyclic.empty(); ++grace) {
-    if (grace % 3 == 1 && grace + 3 < settle_rounds) {
-      net.root().routing->global_repair();
-    }
-    if (auto v = cp.advance(sched.now() + 15'000'000); !v.empty()) {
-      r.failure = "mine_tunnel: loop settle: " + v;
-      return r;
-    }
-    acyclic = testing::check_routing_acyclic(net);
-  }
-  if (!acyclic.empty()) {
-    r.failure = "mine_tunnel: " + acyclic;
-    return r;
-  }
+  if (!sh.settle_acyclic(net, settle_rounds)) return sh.result();
   // The replacement epoch-advances the CFRC via the sentinel's first
   // acked probe, and the advance disseminates hop-by-hop at the gossip
   // pace (1 s) — on a 50-node chain that is most of a minute to the far
@@ -251,36 +172,20 @@ ShardResult run_shard(const RunParams& p, std::size_t shard) {
     }
     return false;
   };
-  for (int grace = 0; grace < settle_rounds && verdict_stuck(); ++grace) {
-    if (auto v = cp.advance(sched.now() + 15'000'000); !v.empty()) {
-      r.failure = "mine_tunnel: verdict settle: " + v;
-      return r;
-    }
+  if (!sh.settle(settle_rounds, "verdict settle", verdict_stuck)) {
+    return sh.result();
   }
   if (verdict_stuck()) {
-    r.failure = "mine_tunnel: verdict stuck at dead after replacement";
-    return r;
+    return sh.fail("verdict stuck at dead after replacement");
   }
-  if (ledger->malformed != 0) {
-    r.failure = "mine_tunnel: malformed payloads at the portal";
-    return r;
-  }
-  if (p.tracing) {
-    if (auto v = testing::check_trace_wellformed(obsctx.tracer());
-        !v.empty()) {
-      r.failure = "mine_tunnel: " + v;
-      return r;
-    }
+  if (sh.ledger.malformed != 0) {
+    return sh.fail("malformed payloads at the portal");
   }
 
-  r.sent = sent;
-  r.delivered = ledger->latencies_us.size();
-  r.latencies_us = std::move(ledger->latencies_us);
-  collect_duty(net, sched.now(), r.duty_sum, r.duty_nodes);
   const double detect_s =
       static_cast<double>(detected_at - crash_time) / 1e6;
-  r.extras = {1.0, detect_s, static_cast<double>(cp.transient_loops)};
-  return r;
+  return sh.finish(
+      net, {1.0, detect_s, static_cast<double>(sh.cp.transient_loops)});
 }
 
 std::vector<ExtraKpi> extras() {

@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "backend/topic_bus.hpp"
 #include "crdt/ormap.hpp"
 #include "crdt/registers.hpp"
 #include "dependability/faults.hpp"
@@ -21,11 +20,8 @@
 #include "interop/gatt.hpp"
 #include "interop/modbus.hpp"
 #include "interop/vendor_tlv.hpp"
-#include "obs/context.hpp"
-#include "radio/medium.hpp"
 #include "scenarios/specs.hpp"
 #include "scenarios/world_util.hpp"
-#include "sim/scheduler.hpp"
 
 namespace iiot::scenarios::detail {
 
@@ -75,28 +71,22 @@ using AssetRegistry = crdt::OrMap<crdt::LwwRegister<double>>;
 ShardResult run_shard(const RunParams& p, std::size_t shard) {
   const std::uint64_t wseed = shard_seed(p.seed, shard, kSalt);
   const std::size_t n = p.nodes_per_shard;
+  Shard sh("mobile_yard", p, wseed);
+  sim::Scheduler& sched = sh.sched;
 
-  sim::Scheduler sched;
-  obs::Context obsctx(sched, 1u << 18);
-  obsctx.tracer().set_enabled(p.tracing);
-  radio::PropagationConfig pcfg;
-  pcfg.exponent = 3.0;
-  pcfg.shadowing_sigma_db = 0.0;
-  radio::Medium medium(sched, pcfg, wseed);
-
-  core::MeshNetwork net(sched, medium, Rng(wseed, 5),
+  core::MeshNetwork net(sched, sh.medium, Rng(wseed, 5),
                         core::paced_node_config(core::MacKind::kCsma));
   net.build_random_field(
       n, 13.0 * std::sqrt(static_cast<double>(n)));
   net.start(0);
+  sh.collect(net);
 
   // ---- CRDT asset registry (3 replicas at the edge) ------------------
   // Writers for one asset rotate across replicas, so convergence is a
   // real multi-writer LWW merge, not a single-writer triviality.
   AssetRegistry replicas[3];
-  auto ledger = std::make_unique<detail::Ledger>();
-  ledger->sink = [&replicas, &sched](std::uint32_t origin, double value,
-                                     sim::Time) {
+  sh.ledger.sink = [&replicas, &sched](std::uint32_t origin, double value,
+                                       sim::Time) {
     const auto rep = static_cast<crdt::ReplicaId>(
         (origin + static_cast<std::uint32_t>(sched.now() / 10'000'000)) % 3);
     replicas[rep].apply(rep, "asset-" + std::to_string(origin),
@@ -104,13 +94,8 @@ ShardResult run_shard(const RunParams& p, std::size_t shard) {
                           reg.set(rep, sched.now(), value);
                         });
   };
-  net.root().routing->set_delivery_handler(
-      [lg = ledger.get(), &sched](NodeId, BytesView payload, std::uint8_t) {
-        lg->record(payload, sched.now());
-      });
 
   // ---- legacy equipment behind the gateway ---------------------------
-  backend::TopicBus bus;
   interop::ModbusRtuDevice forklift(1);
   forklift.set_register(100, 8700);  // battery 87.00 %
   interop::ModbusAdapter forklift_adapter(
@@ -128,30 +113,24 @@ ShardResult run_shard(const RunParams& p, std::size_t shard) {
   interop::GatewayConfig gcfg;
   gcfg.poll_interval = 5'000'000;
   gcfg.site = "yard" + std::to_string(shard);
-  interop::Gateway gateway(sched, bus, gcfg);
+  interop::Gateway gateway(sched, sh.sys.bus(), gcfg);
   gateway.add_device("forklift", forklift_adapter);
   gateway.add_device("gate", beacon_adapter);
   gateway.add_device("crane", crane_adapter);
 
   std::uint64_t interop_points = 0;
-  bus.subscribe("#", [&interop_points](const std::string&, BytesView) {
+  sh.sys.bus().subscribe("#", [&interop_points](const std::string&,
+                                                BytesView) {
     ++interop_points;
   });
   gateway.start();
 
   // ---- formation ------------------------------------------------------
-  ShardResult r;
-  r.nodes = n;
-  testing::Checkpointer cp{sched, medium, &net};
-  if (auto v = cp.advance(25'000'000); !v.empty()) {
-    r.failure = "mobile_yard: formation: " + v;
-    return r;
-  }
+  if (!sh.advance(25'000'000, "formation")) return sh.result();
   const double baseline = net.joined_fraction();
   if (baseline < 0.5) {
-    r.failure = "mobile_yard: under half the trackers joined (" +
-                std::to_string(baseline) + ")";
-    return r;
+    return sh.fail("under half the trackers joined (" +
+                   std::to_string(baseline) + ")");
   }
 
   // ---- measurement under churn ---------------------------------------
@@ -161,30 +140,18 @@ ShardResult run_shard(const RunParams& p, std::size_t shard) {
   // Traffic keeps flowing through the post-churn loop-settle window:
   // the data-plane rank-inconsistency check is what resolves transient
   // RPL loops quickly — a silent network leaves them to slow trickle.
-  const int settle_rounds = 6 + static_cast<int>(n / 12);
-  // Cover the re-join grace rounds too: a loop that forms late must
+  // It covers the re-join grace rounds too: a loop that forms late must
   // still see data (the data-plane check is what escalates repairs).
-  const sim::Time traffic_end =
-      end + static_cast<sim::Duration>(4 + settle_rounds) * 15'000'000;
-  std::uint64_t sent = 0;
+  const int settle_rounds = 6 + static_cast<int>(n / 12);
   const sim::Duration period = 2'500'000;
-  for (std::size_t i = 1; i < n; ++i) {
-    core::MeshNode* node = &net.node(i);
-    const auto origin = static_cast<std::uint32_t>(i);
-    const sim::Time phase =
-        200'000 + (static_cast<sim::Time>(i) * 7'919) % period;
-    std::uint32_t seq = 0;
-    for (sim::Time t = start + phase; t < traffic_end; t += period) {
-      sched.schedule_at(t, [node, origin, seq, i, &sent, &sched] {
-        if (!node->routing->joined() || node->routing->is_root()) return;
-        Buffer pl;
-        write_timed(pl, origin, seq, sched.now(),
-                    static_cast<double>((i * 37 + seq * 11) % 199));
-        if (node->routing->send_up(std::move(pl))) ++sent;
+  sh.sample(
+      net, start, end + (4 + settle_rounds) * Shard::kRound, period,
+      [](std::size_t i) {
+        return 200'000 + (static_cast<sim::Time>(i) * 7'919) % period;
+      },
+      [](std::size_t i, std::uint32_t seq) {
+        return static_cast<double>((i * 37 + seq * 11) % 199);
       });
-      ++seq;
-    }
-  }
 
   // Trackers leave and return as assets move between cells.
   std::vector<std::unique_ptr<dependability::CrashProcess>> churn;
@@ -217,10 +184,7 @@ ShardResult run_shard(const RunParams& p, std::size_t shard) {
   sched.schedule_at(start + (p.measure_time * 3) / 5,
                     [&crane] { crane.set_point(7, 11.8); });
 
-  if (auto v = cp.advance(churn_end); !v.empty()) {
-    r.failure = "mobile_yard: churn window: " + v;
-    return r;
-  }
+  if (!sh.advance(churn_end, "churn window")) return sh.result();
   for (std::size_t k = 0; k < churn.size(); ++k) {
     churn[k]->stop();
     if (!churn[k]->up()) churn_nodes[k]->start(false);
@@ -230,65 +194,27 @@ ShardResult run_shard(const RunParams& p, std::size_t shard) {
   // detects for direct two-cycles. A version bump obsoletes every stale
   // entry at once — the operational move after heavy churn.
   net.root().routing->global_repair();
-  if (auto v = cp.advance(end); !v.empty()) {
-    r.failure = "mobile_yard: settle: " + v;
-    return r;
+  const auto regressed = [&] {
+    return net.joined_fraction() + 1e-9 < baseline;
+  };
+  if (!sh.advance(end, "settle") || !sh.settle(3, "settle", regressed)) {
+    return sh.result();
   }
-  for (int grace = 0;
-       grace < 3 && net.joined_fraction() + 1e-9 < baseline; ++grace) {
-    if (auto v = cp.advance(sched.now() + 15'000'000); !v.empty()) {
-      r.failure = "mobile_yard: settle: " + v;
-      return r;
-    }
+  if (regressed()) {
+    return sh.fail("joined fraction regressed (" + std::to_string(baseline) +
+                   " -> " + std::to_string(net.joined_fraction()) + ")");
   }
-  if (net.joined_fraction() + 1e-9 < baseline) {
-    r.failure = "mobile_yard: joined fraction regressed (" +
-                std::to_string(baseline) + " -> " +
-                std::to_string(net.joined_fraction()) + ")";
-    return r;
+  // Dense-field loops left over from the churn: the same bounded,
+  // escalating settle the mine's replacement gets.
+  if (!sh.settle_acyclic(net, settle_rounds)) return sh.result();
+  if (sh.ledger.malformed != 0) {
+    return sh.fail("malformed payloads at the root");
   }
-  // RPL loops left over from the churn are transient by contract; give
-  // the still-running traffic bounded time to trip the data-plane
-  // inconsistency check. Multi-node cycles in a dense field can livelock
-  // on stale same-version ranks (the data plane only catches direct
-  // two-cycles), so while unconverged the root escalates with repeated
-  // version bumps — each one obsoletes every stale entry at once.
-  // Each bump also re-randomizes the rebuild, so repairs are spaced
-  // three rounds apart and never fire in the last three rounds — the
-  // final checks must land on a converged mesh, not mid-rebuild.
-  std::string acyclic = testing::check_routing_acyclic(net);
-  for (int grace = 0; grace < settle_rounds && !acyclic.empty(); ++grace) {
-    if (grace % 3 == 1 && grace + 3 < settle_rounds) {
-      net.root().routing->global_repair();
-    }
-    if (auto v = cp.advance(sched.now() + 15'000'000); !v.empty()) {
-      r.failure = "mobile_yard: loop settle: " + v;
-      return r;
-    }
-    acyclic = testing::check_routing_acyclic(net);
-  }
-  if (!acyclic.empty()) {
-    r.failure = "mobile_yard: " + acyclic;
-    return r;
-  }
-  if (ledger->malformed != 0) {
-    r.failure = "mobile_yard: malformed payloads at the root";
-    return r;
-  }
-  if (ledger->latencies_us.empty()) {
-    r.failure = "mobile_yard: no tracker update ever arrived";
-    return r;
+  if (sh.ledger.latencies_us.empty()) {
+    return sh.fail("no tracker update ever arrived");
   }
   if (gateway.stats().poll_errors != 0) {
-    r.failure = "mobile_yard: gateway poll errors";
-    return r;
-  }
-  if (p.tracing) {
-    if (auto v = testing::check_trace_wellformed(obsctx.tracer());
-        !v.empty()) {
-      r.failure = "mobile_yard: " + v;
-      return r;
-    }
+    return sh.fail("gateway poll errors");
   }
 
   // ---- registry convergence ------------------------------------------
@@ -304,35 +230,27 @@ ShardResult run_shard(const RunParams& p, std::size_t shard) {
   const auto keys = replicas[0].keys();
   for (int a = 1; a < 3; ++a) {
     if (replicas[a].keys() != keys) {
-      r.failure = "mobile_yard: replicas disagree on the asset set";
-      return r;
+      return sh.fail("replicas disagree on the asset set");
     }
     for (const auto& key : keys) {
       const auto* va = replicas[a].get(key);
       const auto* v0 = replicas[0].get(key);
       if (va == nullptr || v0 == nullptr ||
           va->get() != v0->get()) {
-        r.failure = "mobile_yard: replicas disagree on asset " + key;
-        return r;
+        return sh.fail("replicas disagree on asset " + key);
       }
     }
   }
   // The library reuses the self-contained AP convergence property too
   // (same checker the fuzzer folds into generated worlds).
   if (auto v = testing::check_crdt_convergence(wseed, 3, 30); !v.empty()) {
-    r.failure = "mobile_yard: " + v;
-    return r;
+    return sh.fail(v);
   }
 
-  r.sent = sent;
-  r.delivered = ledger->latencies_us.size();
-  r.latencies_us = std::move(ledger->latencies_us);
-  collect_duty(net, sched.now(), r.duty_sum, r.duty_nodes);
-  r.extras = {static_cast<double>(keys.size()),
-              static_cast<double>(interop_points),
-              static_cast<double>(gateway.stats().polls),
-              static_cast<double>(churn_events)};
-  return r;
+  return sh.finish(net, {static_cast<double>(keys.size()),
+                         static_cast<double>(interop_points),
+                         static_cast<double>(gateway.stats().polls),
+                         static_cast<double>(churn_events)});
 }
 
 std::vector<ExtraKpi> extras() {

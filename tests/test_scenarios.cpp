@@ -104,6 +104,45 @@ TEST(ScenarioLibrary, ArtifactIsIdenticalAtAnyJobCount) {
   EXPECT_EQ(check_suite_determinism(SuiteOptions{}, four), "");
 }
 
+// Exact pin of the four sharded scenarios: every KPI of smoke seeds 1
+// and 2, recorded before they moved onto the shared shard harness
+// (world_util.hpp). The committed-baseline gate allows per-KPI
+// tolerances and holds seed 1 only; this one allows no drift at all.
+struct PinnedReport {
+  const char* scenario;
+  std::uint64_t seed;
+  const char* json;
+};
+constexpr PinnedReport kPinnedReports[] = {
+    {"factory_line", 1,
+     R"({"scenario":"factory_line","tier":"smoke","seed":1,"shards":1,"ok":true,"kpis":{"nodes":10.000000,"sent":1179.000000,"delivered":1179.000000,"delivery_ratio":1.000000,"latency_p50_us":206529.000000,"latency_p99_us":214610.000000,"duty_cycle":0.162155,"interlock_trips":2.000000,"interlock_latency_s":1.408723,"backend_points":1179.000000,"rule_firings":20.000000}})"},
+    {"hvac_fleet", 1,
+     R"({"scenario":"hvac_fleet","tier":"smoke","seed":1,"shards":2,"ok":true,"kpis":{"nodes":18.000000,"sent":88.000000,"delivered":88.000000,"delivery_ratio":1.000000,"latency_p50_us":297872.000000,"latency_p99_us":2807028.000000,"duty_cycle":0.049776,"fleet_avg_temp":22.190909,"overheat_alerts":4.000000,"backend_points":88.000000,"rollup_buckets":8.000000}})"},
+    {"mine_tunnel", 1,
+     R"({"scenario":"mine_tunnel","tier":"smoke","seed":1,"shards":2,"ok":true,"kpis":{"nodes":24.000000,"sent":1305.000000,"delivered":906.000000,"delivery_ratio":0.694253,"latency_p50_us":15047.000000,"latency_p99_us":77764.000000,"duty_cycle":0.991342,"rnfd_detected":2.000000,"rnfd_detect_s":15.996960,"transient_loops":9.000000}})"},
+    {"mobile_yard", 1,
+     R"({"scenario":"mobile_yard","tier":"smoke","seed":1,"shards":2,"ok":true,"kpis":{"nodes":24.000000,"sent":1012.000000,"delivered":1012.000000,"delivery_ratio":1.000000,"latency_p50_us":3003.000000,"latency_p99_us":8527.000000,"duty_cycle":0.969834,"crdt_assets":22.000000,"interop_points":174.000000,"gateway_polls":174.000000,"churn_events":10.000000}})"},
+    {"factory_line", 2,
+     R"({"scenario":"factory_line","tier":"smoke","seed":2,"shards":1,"ok":true,"kpis":{"nodes":10.000000,"sent":1179.000000,"delivered":1179.000000,"delivery_ratio":1.000000,"latency_p50_us":206380.000000,"latency_p99_us":213893.000000,"duty_cycle":0.162155,"interlock_trips":2.000000,"interlock_latency_s":1.408411,"backend_points":1179.000000,"rule_firings":19.000000}})"},
+    {"hvac_fleet", 2,
+     R"({"scenario":"hvac_fleet","tier":"smoke","seed":2,"shards":2,"ok":true,"kpis":{"nodes":18.000000,"sent":88.000000,"delivered":88.000000,"delivery_ratio":1.000000,"latency_p50_us":247332.000000,"latency_p99_us":1587242.000000,"duty_cycle":0.043332,"fleet_avg_temp":22.190909,"overheat_alerts":4.000000,"backend_points":88.000000,"rollup_buckets":8.000000}})"},
+    {"mine_tunnel", 2,
+     R"({"scenario":"mine_tunnel","tier":"smoke","seed":2,"shards":2,"ok":true,"kpis":{"nodes":24.000000,"sent":1302.000000,"delivered":848.000000,"delivery_ratio":0.651306,"latency_p50_us":13199.000000,"latency_p99_us":69466.000000,"duty_cycle":0.991342,"rnfd_detected":2.000000,"rnfd_detect_s":16.020605,"transient_loops":11.000000}})"},
+    {"mobile_yard", 2,
+     R"({"scenario":"mobile_yard","tier":"smoke","seed":2,"shards":2,"ok":true,"kpis":{"nodes":24.000000,"sent":1020.000000,"delivered":1020.000000,"delivery_ratio":1.000000,"latency_p50_us":2963.000000,"latency_p99_us":4051.000000,"duty_cycle":0.975947,"crdt_assets":22.000000,"interop_points":174.000000,"gateway_polls":174.000000,"churn_events":6.000000}})"},
+};
+
+TEST(ScenarioLibrary, ShardedScenariosReproduceRecordedKpis) {
+  iiot::runner::Engine eng(1);
+  for (const PinnedReport& pin : kPinnedReports) {
+    const auto* spec = find_scenario(pin.scenario);
+    ASSERT_NE(spec, nullptr) << pin.scenario;
+    const KpiReport rep = run_one(*spec, Tier::kSmoke, pin.seed, eng);
+    EXPECT_EQ(rep.json_line(), pin.json)
+        << pin.scenario << " seed " << pin.seed;
+  }
+}
+
 TEST(ScenarioLibrary, IslandLanesAreInvisibleInTheArtifact) {
   // The PDES lane-invariance contract surfaced at the KPI layer: the one
   // island-partitioned scenario must emit the same report (including its
