@@ -18,8 +18,8 @@
 // be byte-identical, downsample results identical up to an ulp tolerance
 // on the bucket averages, and bus deliveries must arrive in the same
 // order.
-// Hard floors (the ISSUE's acceptance bar) fail the run outright:
-// query and downsample >= 10x, publish fan-out >= 5x.
+// Hard floors (bench::floor_gate, the acceptance bar) fail the run
+// outright: query and downsample >= 10x, publish fan-out >= 5x.
 //
 // Results append to BENCH_backend.json:
 //
@@ -30,12 +30,10 @@
 // line (default min-ratio 0.8), mirroring bench_perf_core's perf gate,
 // and requires the fan-out's exact `delivered` count to equal the
 // baseline's; a missing or empty baseline exits 3 before anything runs.
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <limits>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -53,12 +51,7 @@ using backend::SeriesId;
 using iiot::testing::Lcg;
 using iiot::testing::RefBus;
 using iiot::testing::RefStore;
-
-double now_seconds() {
-  using clock = std::chrono::steady_clock;
-  return std::chrono::duration<double>(clock::now().time_since_epoch())
-      .count();
-}
+using bench::now_seconds;
 
 // ---- workloads --------------------------------------------------------
 
@@ -397,25 +390,12 @@ int main(int argc, char** argv) {
   std::uint64_t reps = 1;
   std::uint64_t jobs = 1;
   double min_ratio = 0.8;
-  int positional = 0;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (bench::flag_u64(arg, "--reps", reps) ||
-        bench::flag_u64(arg, "--jobs", jobs) ||
-        bench::flag_str(arg, "--compare", compare_path) ||
-        bench::flag_double(arg, "--min-ratio", min_ratio)) {
-      continue;
-    }
-    if (arg.rfind("--", 0) == 0) {
-      std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
-      return 2;
-    }
-    if (positional == 0) {
-      label = arg;
-    } else {
-      out_path = arg;
-    }
-    ++positional;
+  if (!bench::parse_args(argc, argv, label, out_path,
+                         {{"--reps", &reps},
+                          {"--jobs", &jobs},
+                          {"--compare", &compare_path},
+                          {"--min-ratio", &min_ratio}})) {
+    return 2;
   }
   if (reps == 0) reps = 1;
   std::string base_line;
@@ -457,11 +437,10 @@ int main(int argc, char** argv) {
               "ulp tolerance, deliveries in identical order)\n",
               best.identical ? "OK" : "FAILED");
 
-  std::ostringstream run;
   char buf[512];
   std::snprintf(
       buf, sizeof buf,
-      "{\"label\": \"%s\", \"ts_points\": %zu, \"subscribers\": %zu, "
+      "\"ts_points\": %zu, \"subscribers\": %zu, "
       "\"append_per_sec\": %.0f, \"naive_append_per_sec\": %.0f, "
       "\"query_per_sec\": %.1f, \"naive_query_per_sec\": %.1f, "
       "\"query_speedup\": %.1f, "
@@ -469,42 +448,28 @@ int main(int argc, char** argv) {
       "\"downsample_speedup\": %.1f, "
       "\"publish_per_sec\": %.0f, \"naive_publish_per_sec\": %.0f, "
       "\"publish_speedup\": %.1f, "
-      "\"delivered\": %llu, \"reps\": %llu, \"jobs\": %u}",
-      label.c_str(), kPoints, kSubscribers, best.append.fast_per_sec,
+      "\"delivered\": %llu, \"reps\": %llu, \"jobs\": %u",
+      kPoints, kSubscribers, best.append.fast_per_sec,
       best.append.naive_per_sec, best.query.fast_per_sec,
       best.query.naive_per_sec, query_speedup, best.down.fast_per_sec,
       best.down.naive_per_sec, down_speedup, best.fanout.fast_per_sec,
       best.fanout.naive_per_sec, pub_speedup,
       static_cast<unsigned long long>(best.fanout.delivered),
       static_cast<unsigned long long>(reps), eng.jobs());
-  run << buf;
-  bench::append_bench_run(out_path, "bench_backend", run.str());
-  std::printf("\nwrote %s (label \"%s\")\n", out_path.c_str(),
-              label.c_str());
-
-  // Acceptance floors hold regardless of baseline availability.
-  bool floors_ok = true;
-  const struct {
-    const char* name;
-    double value;
-    double floor;
-  } floors[] = {{"query_speedup", query_speedup, 10.0},
-                {"downsample_speedup", down_speedup, 10.0},
-                {"publish_speedup", pub_speedup, 5.0}};
-  for (const auto& f : floors) {
-    if (f.value < f.floor) {
-      std::printf("FAIL: %s x%.1f below the x%.0f floor\n", f.name, f.value,
-                  f.floor);
-      floors_ok = false;
-    }
-  }
+  const std::string line =
+      bench::record_run(out_path, "bench_backend", label, buf);
+  // The acceptance floors hold whether or not a baseline is given.
+  const bench::Floor floors[] = {{"query_speedup", query_speedup, 10.0},
+                                 {"downsample_speedup", down_speedup, 10.0},
+                                 {"publish_speedup", pub_speedup, 5.0}};
+  const bool floors_ok = bench::floor_gate(floors);
 
   bool gate_ok = true;
   if (!base_line.empty()) {
-    gate_ok = bench::ratio_gate(base_line, run.str(), kGated, min_ratio);
+    gate_ok = bench::ratio_gate(base_line, line, kGated, min_ratio);
     // The fan-out's delivery count is exact on every host: a change in it
     // is a change in what the bus does, whatever the timings say.
-    gate_ok = bench::digest_gate(base_line, run.str(), "delivered") && gate_ok;
+    gate_ok = bench::digest_gate(base_line, line, "delivered") && gate_ok;
   }
   if (!best.deterministic) {
     std::printf("determinism gate: FAILED (results diverged across reps)\n");

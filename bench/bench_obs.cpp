@@ -5,8 +5,7 @@
 //
 //   off     — no obs::Context installed: every instrumentation site is a
 //             null-pointer test. This must stay within 3% of the
-//             pre-observability fast path (the hard budget this PR ships
-//             under).
+//             pre-observability fast path (a hard budget).
 //   metrics — Context installed, tracer disabled: struct-backed counters
 //             are literal field increments, so the residual cost is the
 //             pointer test plus registry-owned histogram updates.
@@ -25,39 +24,24 @@
 //                    net50_events_per_sec recorded in that file (3%
 //                    shortfall budget; meaningful on the machine that
 //                    recorded the baseline)
-#include <chrono>
+//
+// Exit codes: 0 pass, 1 a gate failed, 2 bad arguments (an unknown
+// --flag). A --baseline file with no net50 figure is noted, not fatal.
 #include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <memory>
-#include <sstream>
 #include <string>
-#include <vector>
 
 #include "bench_util.hpp"
-#include "core/network.hpp"
-#include "obs/context.hpp"
-#include "radio/medium.hpp"
-#include "sim/scheduler.hpp"
 
 namespace {
 
 using namespace iiot;
-using namespace iiot::sim;  // NOLINT
+using bench::ObsMode;
 
-double now_seconds() {
-  using clock = std::chrono::steady_clock;
-  return std::chrono::duration<double>(clock::now().time_since_epoch())
-      .count();
-}
-
-enum class Mode { kOff, kMetrics, kTrace };
-
-constexpr const char* to_string(Mode m) {
+constexpr const char* to_string(ObsMode m) {
   switch (m) {
-    case Mode::kOff: return "off";
-    case Mode::kMetrics: return "metrics";
-    case Mode::kTrace: return "trace";
+    case ObsMode::kOff: return "off";
+    case ObsMode::kMetrics: return "metrics";
+    case ObsMode::kTrace: return "trace";
   }
   return "?";
 }
@@ -69,61 +53,24 @@ struct RunResult {
   std::string metrics_json = "{}";
 };
 
-// The bench_perf_core 50-node workload, verbatim: mesh formation off the
-// clock, then 30 s of staggered periodic reports under measurement.
-RunResult run_workload(Mode mode, std::uint64_t seed) {
-  Scheduler sched;
-  std::unique_ptr<obs::Context> obsctx;
-  if (mode != Mode::kOff) {
-    obsctx = std::make_unique<obs::Context>(sched, 1u << 20);
-    obsctx->tracer().set_enabled(mode == Mode::kTrace);
-  }
-  radio::Medium medium(sched, bench::default_radio(), seed);
-  core::MeshNetwork mesh(sched, medium, Rng(seed),
-                         bench::node_config(core::MacKind::kCsma));
-  mesh.build_grid(50, 20.0);
-  mesh.start();
-  sched.run_until(20_s);
-
-  const Duration measured = 30_s;
-  for (std::size_t i = 1; i < mesh.size(); ++i) {
-    auto& node = mesh.node(i);
-    const Duration phase = static_cast<Duration>(i) * 7'919 % 2'000'000;
-    for (Duration t = phase; t < measured; t += 2_s) {
-      sched.schedule_at(20_s + t,
-                        [&node] { node.routing->send_up(to_buffer("r")); });
-    }
-  }
-
-  const std::uint64_t ev0 = sched.executed_events();
-  const double t0 = now_seconds();
-  sched.run_until(20_s + measured);
-  const double wall = now_seconds() - t0;
+// The bench_perf_core 50-node world (bench::CsmaGrid): its 30 s of
+// staggered periodic reports are timed.
+RunResult run_workload(ObsMode mode, std::uint64_t seed) {
+  bench::CsmaGrid w(50, seed, mode);
+  const std::uint64_t ev0 = w.sched.executed_events();
+  const double t0 = bench::now_seconds();
+  w.sched.run_until(bench::CsmaGrid::kEnd);
+  const double wall = bench::now_seconds() - t0;
 
   RunResult r;
   r.events_per_sec =
-      static_cast<double>(sched.executed_events() - ev0) / wall;
-  r.transmissions = medium.stats().transmissions;
-  if (obsctx) {
-    r.trace_records = obsctx->tracer().records().size();
-    r.metrics_json = obsctx->metrics().snapshot_json();
+      static_cast<double>(w.sched.executed_events() - ev0) / wall;
+  r.transmissions = w.medium.stats().transmissions;
+  if (w.ctx) {
+    r.trace_records = w.ctx->tracer().records().size();
+    r.metrics_json = w.ctx->metrics().snapshot_json();
   }
   return r;
-}
-
-/// Newest "net50_events_per_sec" value in a BENCH_core.json, or 0.
-double baseline_net50(const std::string& path) {
-  static constexpr const char kKey[] = "\"net50_events_per_sec\": ";
-  std::ifstream in(path);
-  std::string line;
-  double last = 0;
-  while (std::getline(in, line)) {
-    const auto pos = line.find(kKey);
-    if (pos != std::string::npos) {
-      last = std::strtod(line.c_str() + pos + (sizeof kKey - 1), nullptr);
-    }
-  }
-  return last;
 }
 
 }  // namespace
@@ -133,30 +80,24 @@ int main(int argc, char** argv) {
   std::string out_path = "BENCH_obs.json";
   bool check = false;
   std::string baseline_path;
-  int positional = 0;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--check") {
-      check = true;
-    } else if (arg.rfind("--baseline=", 0) == 0) {
-      baseline_path = arg.substr(11);
-    } else if (positional == 0) {
-      label = arg;
-      ++positional;
-    } else {
-      out_path = arg;
-    }
+  if (!bench::parse_args(argc, argv, label, out_path,
+                         {{"--check", &check},
+                          {"--baseline", &baseline_path}})) {
+    return 2;
   }
 
-  iiot::bench::print_header(
+  bench::print_header(
       "PERF: observability overhead (50-node CSMA+RPL workload)",
       "obs off must match the pre-obs fast path; metrics mode within 3%");
 
-  const double base =
-      baseline_path.empty() ? 0.0 : baseline_net50(baseline_path);
+  double base = 0;  // the baseline's newest net50_events_per_sec, if any
+  if (!baseline_path.empty()) {
+    bench::bench_field(bench::last_bench_run_line(baseline_path),
+                       "net50_events_per_sec", base);
+  }
 
   constexpr int kReps = 3;
-  const Mode modes[] = {Mode::kOff, Mode::kMetrics, Mode::kTrace};
+  const ObsMode modes[] = {ObsMode::kOff, ObsMode::kMetrics, ObsMode::kTrace};
   RunResult best[3];
   const auto one_rep = [&] {
     for (int m = 0; m < 3; ++m) {  // interleaved: noise hits all modes alike
@@ -205,20 +146,17 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::ostringstream run;
   char buf[256];
   std::snprintf(buf, sizeof buf,
-                "{\"label\": \"%s\", \"off_events_per_sec\": %.0f, "
+                "\"off_events_per_sec\": %.0f, "
                 "\"metrics_events_per_sec\": %.0f, "
                 "\"trace_events_per_sec\": %.0f, "
                 "\"metrics_overhead_pct\": %.2f, "
                 "\"trace_overhead_pct\": %.2f, \"trace_records\": %zu",
-                label.c_str(), off, best[1].events_per_sec,
-                best[2].events_per_sec, metrics_pct, trace_pct,
-                best[2].trace_records);
-  run << buf << ", \"metrics\": " << best[1].metrics_json << "}";
-  iiot::bench::append_bench_run(out_path, "bench_obs", run.str());
-  std::printf("wrote %s (label \"%s\")\n", out_path.c_str(), label.c_str());
+                off, best[1].events_per_sec, best[2].events_per_sec,
+                metrics_pct, trace_pct, best[2].trace_records);
+  bench::record_run(out_path, "bench_obs", label,
+                    std::string(buf) + ", \"metrics\": " + best[1].metrics_json);
 
   bool failed = perturbed;
   if (!baseline_path.empty()) {

@@ -9,8 +9,9 @@
 // or the run hard-fails. Speedup is
 // wall-time(lanes=1) / wall-time(lanes=K) per size.
 //
-// Scaling gate: the largest world must beat the serial oracle by
-// --min-scaling (default 2.0) at 4 lanes. Enforced only when the machine
+// Scaling gate (bench::floor_gate on the measured scaling_10k_4): the
+// largest world must beat the serial oracle by --min-scaling (default
+// 2.0) at 4 lanes. Enforced only when the machine
 // has >= 4 hardware threads (CI runners); informational otherwise.
 // The digest-identity check is enforced everywhere, at every lane count.
 //
@@ -34,7 +35,6 @@
 // before anything runs, so it is never mistaken for a regression).
 #include <malloc.h>
 
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <sstream>
@@ -49,11 +49,7 @@ namespace {
 
 using namespace iiot;
 
-double now_seconds() {
-  using clock = std::chrono::steady_clock;
-  return std::chrono::duration<double>(clock::now().time_since_epoch())
-      .count();
-}
+using bench::now_seconds;
 
 /// Bytes glibc's allocator has handed out and not taken back: arena
 /// chunks in use plus mmapped blocks, over all arenas.
@@ -162,25 +158,12 @@ int main(int argc, char** argv) {
   std::uint64_t reps = 1;
   double min_ratio = 0.6;
   double min_scaling = 2.0;
-  int positional = 0;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (bench::flag_u64(arg, "--reps", reps) ||
-        bench::flag_str(arg, "--compare", compare_path) ||
-        bench::flag_double(arg, "--min-ratio", min_ratio) ||
-        bench::flag_double(arg, "--min-scaling", min_scaling)) {
-      continue;
-    }
-    if (arg.rfind("--", 0) == 0) {
-      std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
-      return 2;
-    }
-    if (positional == 0) {
-      label = arg;
-    } else {
-      out_path = arg;
-    }
-    ++positional;
+  if (!bench::parse_args(argc, argv, label, out_path,
+                         {{"--reps", &reps},
+                          {"--compare", &compare_path},
+                          {"--min-ratio", &min_ratio},
+                          {"--min-scaling", &min_scaling}})) {
+    return 2;
   }
   if (reps == 0) reps = 1;
   std::string base_line;
@@ -280,16 +263,9 @@ int main(int argc, char** argv) {
 
   const std::size_t largest = nsizes - 1;
   const bool enforce = cores >= 4;
-  bool scaling_ok = true;
   std::printf("\nscaling: x%.2f at 4 lanes on the %s world\n",
               scaling4[largest], kSizes[largest].name);
-  if (enforce) {
-    if (scaling4[largest] < min_scaling) {
-      std::printf("FAIL: scaling x%.2f below the x%.1f floor\n",
-                  scaling4[largest], min_scaling);
-      scaling_ok = false;
-    }
-  } else {
+  if (!enforce) {
     std::printf("scaling informational only (%u core(s) < 4; the x%.1f "
                 "floor is enforced on >= 4-core machines)\n",
                 cores, min_scaling);
@@ -302,13 +278,13 @@ int main(int argc, char** argv) {
   char buf[640];
   std::snprintf(
       buf, sizeof buf,
-      "{\"label\": \"%s\", \"cores\": %u, \"sim_seconds\": %lld, "
+      "\"cores\": %u, \"sim_seconds\": %lld, "
       "\"eps_2k_l1\": %.0f, \"eps_5k_l1\": %.0f, \"eps_10k_l1\": %.0f, "
       "\"wall_10k_l1\": %.3f, \"wall_10k_l4\": %.3f, "
       "\"scaling_2k_4\": %.2f, \"scaling_5k_4\": %.2f, "
       "\"scaling_10k_4\": %.2f, \"digest_10k\": %llu, "
       "\"scaling_enforced\": %d, \"reps\": %llu",
-      label.c_str(), cores, static_cast<long long>(kMeasure / 1'000'000),
+      cores, static_cast<long long>(kMeasure / 1'000'000),
       static_cast<double>(best[0][0].events) / best[0][0].wall,
       static_cast<double>(best[1][0].events) / best[1][0].wall,
       static_cast<double>(best[2][0].events) / best[2][0].wall,
@@ -342,20 +318,19 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(e.snapshots_held));
     run << buf;
   }
-  run << "}";
-  bench::append_bench_run(out_path, "bench_pdes", run.str());
-  std::printf("\nwrote %s (label \"%s\")\n", out_path.c_str(),
-              label.c_str());
+  const std::string line =
+      bench::record_run(out_path, "bench_pdes", label, run.str());
 
+  const bench::Floor scaling_floor[] = {
+      {"scaling_10k_4", scaling4[largest], min_scaling}};
+  const bool scaling_ok = !enforce || bench::floor_gate(scaling_floor);
   const bool ratio_ok =
-      base_line.empty() ||
-      bench::ratio_gate(base_line, run.str(), kGated, min_ratio);
+      base_line.empty() || bench::ratio_gate(base_line, line, kGated, min_ratio);
   const bool memory_ok =
       base_line.empty() ||
-      bench::ratio_gate(base_line, run.str(), kGatedMemory, kMinMemoryRatio);
+      bench::ratio_gate(base_line, line, kGatedMemory, kMinMemoryRatio);
   const bool digest_ok =
-      base_line.empty() ||
-      bench::digest_gate(base_line, run.str(), kGatedDigest);
+      base_line.empty() || bench::digest_gate(base_line, line, kGatedDigest);
   return identical && scaling_ok && ratio_ok && memory_ok && digest_ok ? 0
                                                                       : 1;
 }

@@ -39,10 +39,8 @@
 // thread: the run line's net200_allocs is the number of allocations made
 // while the timed 200-node span runs (the steady-state transmission path
 // is meant to allocate nothing; see DESIGN.md §4b).
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <new>
 #include <sstream>
@@ -50,8 +48,6 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "core/network.hpp"
-#include "radio/medium.hpp"
 #include "runner/engine.hpp"
 #include "sim/scheduler.hpp"
 
@@ -82,12 +78,7 @@ namespace {
 
 using namespace iiot;
 using namespace iiot::sim;  // NOLINT
-
-double now_seconds() {
-  using clock = std::chrono::steady_clock;
-  return std::chrono::duration<double>(clock::now().time_since_epoch())
-      .count();
-}
+using bench::now_seconds;
 
 // ---------------------------------------------------------------- scheduler
 
@@ -165,54 +156,27 @@ struct NetResult {
   std::uint64_t allocs = 0;  // operator new calls during the timed span
 };
 
-NetResult csma_network(int n, std::uint64_t seed,
-                       std::string* metrics_json = nullptr) {
-  Scheduler sched;
-  // Optional instrumented mode: installs the metrics registry so the run
-  // line can embed a per-layer snapshot. The timed sweep below never uses
-  // it — those numbers stay comparable with pre-observability baselines.
-  std::unique_ptr<obs::Context> obsctx;
-  if (metrics_json != nullptr) obsctx = std::make_unique<obs::Context>(sched);
-  radio::Medium medium(sched, bench::default_radio(), seed);
-  core::MeshNetwork mesh(sched, medium, Rng(seed),
-                         bench::node_config(core::MacKind::kCsma));
-  mesh.build_grid(static_cast<std::size_t>(n), 20.0);
-  mesh.start();
-
-  // Let the DODAG form off the clock we measure.
-  sched.run_until(20_s);
-
-  // Periodic sensor traffic: every node reports every 2 s, staggered.
-  const Duration measured = 30_s;
-  for (std::size_t i = 1; i < mesh.size(); ++i) {
-    auto& node = mesh.node(i);
-    const Duration phase = static_cast<Duration>(i) * 7'919 % 2'000'000;
-    for (Duration t = phase; t < measured; t += 2_s) {
-      sched.schedule_at(20_s + t,
-                        [&node] { node.routing->send_up(to_buffer("r")); });
-    }
-  }
-
-  const std::uint64_t ev0 = sched.executed_events();
-  const std::uint64_t tx0 = medium.stats().transmissions;
+NetResult csma_network(int n, std::uint64_t seed) {
+  bench::CsmaGrid w(static_cast<std::size_t>(n), seed);
+  const std::uint64_t ev0 = w.sched.executed_events();
+  const std::uint64_t tx0 = w.medium.stats().transmissions;
   const std::uint64_t allocs0 = t_allocs;
   const double t0 = now_seconds();
-  sched.run_until(20_s + measured);
+  w.sched.run_until(bench::CsmaGrid::kEnd);
   const double wall = now_seconds() - t0;
   const std::uint64_t allocs = t_allocs - allocs0;
 
+  const radio::MediumStats& ms = w.medium.stats();
   NetResult r;
   r.nodes = n;
   r.wall_sec = wall;
   r.events_per_sec =
-      static_cast<double>(sched.executed_events() - ev0) / wall;
-  r.frames_per_sec =
-      static_cast<double>(medium.stats().transmissions - tx0) / wall;
-  r.transmissions = medium.stats().transmissions;
-  r.deliveries = medium.stats().deliveries;
-  r.collisions = medium.stats().collisions;
+      static_cast<double>(w.sched.executed_events() - ev0) / wall;
+  r.frames_per_sec = static_cast<double>(ms.transmissions - tx0) / wall;
+  r.transmissions = ms.transmissions;
+  r.deliveries = ms.deliveries;
+  r.collisions = ms.collisions;
   r.allocs = allocs;
-  if (metrics_json != nullptr) *metrics_json = bench::metrics_snapshot_json(sched);
   return r;
 }
 
@@ -317,38 +281,25 @@ int main(int argc, char** argv) {
   std::uint64_t reps = 1;
   std::uint64_t jobs = 1;
   double min_ratio = 0.8;
-  int positional = 0;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (iiot::bench::flag_u64(arg, "--reps", reps) ||
-        iiot::bench::flag_u64(arg, "--jobs", jobs) ||
-        iiot::bench::flag_str(arg, "--compare", compare_path) ||
-        iiot::bench::flag_double(arg, "--min-ratio", min_ratio)) {
-      continue;
-    }
-    if (arg.rfind("--", 0) == 0) {
-      std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
-      return 2;
-    }
-    if (positional == 0) {
-      label = arg;
-    } else {
-      out_path = arg;
-    }
-    ++positional;
+  if (!bench::parse_args(argc, argv, label, out_path,
+                         {{"--reps", &reps},
+                          {"--jobs", &jobs},
+                          {"--compare", &compare_path},
+                          {"--min-ratio", &min_ratio}})) {
+    return 2;
   }
   if (reps == 0) reps = 1;
   std::string base_line;
   if (!compare_path.empty()) {
-    base_line = iiot::bench::compare_baseline(compare_path, "bench_perf_core");
+    base_line = bench::compare_baseline(compare_path, "bench_perf_core");
     if (base_line.empty()) return 3;
   }
 
-  iiot::bench::print_header(
+  bench::print_header(
       "PERF: discrete-event core wall-clock throughput",
       "scheduler + medium must sustain production-scale event rates");
 
-  iiot::runner::Engine eng(static_cast<unsigned>(jobs));
+  runner::Engine eng(static_cast<unsigned>(jobs));
   Best best;
   const bool deterministic = measure(eng, reps, best);
 
@@ -371,11 +322,10 @@ int main(int argc, char** argv) {
   std::ostringstream run;
   char buf[256];
   std::snprintf(buf, sizeof buf,
-                "{\"label\": \"%s\", \"churn_events_per_sec\": %.0f, "
-                "\"churn_ops_per_sec\": %.0f, "
+                "\"churn_events_per_sec\": %.0f, \"churn_ops_per_sec\": %.0f, "
                 "\"periodic_events_per_sec\": %.0f",
-                label.c_str(), best.churn.events_per_sec,
-                best.churn.ops_per_sec, best.periodic);
+                best.churn.events_per_sec, best.churn.ops_per_sec,
+                best.periodic);
   run << buf;
   for (const NetResult& r : best.nets) {
     std::snprintf(buf, sizeof buf,
@@ -397,19 +347,17 @@ int main(int argc, char** argv) {
   run << buf;
   // Per-layer metrics snapshot from an instrumented (untimed) replay of
   // the 50-node workload: says which layer a perf regression lives in.
-  std::string metrics;
-  (void)csma_network(50, 42, &metrics);
-  run << ", \"metrics\": " << metrics;
-  run << "}";
-  iiot::bench::append_bench_run(out_path, "bench_perf_core", run.str());
-  std::printf("\nwrote %s (label \"%s\")\n", out_path.c_str(), label.c_str());
+  bench::CsmaGrid replay(50, 42, bench::ObsMode::kMetrics);
+  replay.sched.run_until(bench::CsmaGrid::kEnd);
+  run << ", \"metrics\": " << replay.ctx->metrics().snapshot_json();
+  const std::string line =
+      bench::record_run(out_path, "bench_perf_core", label, run.str());
 
   bool gate_ok = true;
   if (!base_line.empty()) {
-    gate_ok =
-        iiot::bench::ratio_gate(base_line, run.str(), kGated, min_ratio);
+    gate_ok = bench::ratio_gate(base_line, line, kGated, min_ratio);
     for (const char* key : kGatedCounters) {
-      gate_ok = iiot::bench::digest_gate(base_line, run.str(), key) && gate_ok;
+      gate_ok = bench::digest_gate(base_line, line, key) && gate_ok;
     }
   }
   if (!deterministic) {

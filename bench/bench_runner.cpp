@@ -5,7 +5,8 @@
 // batch runs twice in one process — serially (jobs=1, the reference
 // execution) and sharded across the pool — and every jobs-invariant
 // artifact (failing seeds, per-seed fingerprints, report text) is diffed
-// between the two runs, so the speedup number is only ever reported for
+// between the two runs by testing::diff_batches, the diff `iiot_fuzz
+// --selfcheck` makes, so the speedup number is only ever reported for
 // byte-identical output.
 //
 //   ./bench_runner [label] [output.json] [--runs=N] [--jobs=N]
@@ -16,47 +17,22 @@
 // Appends one run line to BENCH_runner.json: serial/parallel wall
 // seconds, scenarios/sec for both, speedup, and whether artifacts
 // matched. Exits 1 on any artifact divergence.
-#include <chrono>
 #include <cstdio>
-#include <sstream>
 #include <string>
 
 #include "bench_util.hpp"
 #include "runner/engine.hpp"
 #include "testing/batch.hpp"
 
-namespace {
-
-double now_seconds() {
-  using clock = std::chrono::steady_clock;
-  return std::chrono::duration<double>(clock::now().time_since_epoch())
-      .count();
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
+  using iiot::bench::now_seconds;
   std::string label = "current";
   std::string out_path = "BENCH_runner.json";
   std::uint64_t runs = 200;
   std::uint64_t jobs = 0;  // all cores
-  int positional = 0;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (iiot::bench::flag_u64(arg, "--runs", runs) ||
-        iiot::bench::flag_u64(arg, "--jobs", jobs)) {
-      continue;
-    }
-    if (arg.rfind("--", 0) == 0) {
-      std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
-      return 2;
-    }
-    if (positional == 0) {
-      label = arg;
-    } else {
-      out_path = arg;
-    }
-    ++positional;
+  if (!iiot::bench::parse_args(argc, argv, label, out_path,
+                               {{"--runs", &runs}, {"--jobs", &jobs}})) {
+    return 2;
   }
 
   iiot::bench::print_header(
@@ -80,23 +56,9 @@ int main(int argc, char** argv) {
       iiot::testing::run_fuzz_batch(opt, pool);
   const double parallel_sec = now_seconds() - t0;
 
-  bool identical = a.failing_seeds == b.failing_seeds &&
-                   a.fingerprints.size() == b.fingerprints.size() &&
-                   a.report == b.report;
-  if (identical) {
-    for (std::size_t i = 0; i < a.fingerprints.size(); ++i) {
-      if (!(a.fingerprints[i] == b.fingerprints[i])) {
-        identical = false;
-        std::printf("FAIL: fingerprint diverges at seed %llu\n",
-                    static_cast<unsigned long long>(opt.seed_base + i));
-        break;
-      }
-    }
-  } else {
-    std::printf("FAIL: failing seeds or report diverge between jobs=1 "
-                "and jobs=%u\n",
-                pool.jobs());
-  }
+  const std::string diff = iiot::testing::diff_batches(opt, a, b, pool.jobs());
+  const bool identical = diff.empty();
+  if (!identical) std::printf("FAIL: %s\n", diff.c_str());
 
   const double speedup = parallel_sec > 0 ? serial_sec / parallel_sec : 0;
   std::printf("%llu scenarios  jobs=1: %.2fs (%.0f/s)   jobs=%u: %.2fs "
@@ -106,21 +68,18 @@ int main(int argc, char** argv) {
               parallel_sec, static_cast<double>(runs) / parallel_sec, speedup,
               identical ? "identical" : "DIVERGED");
 
-  std::ostringstream run;
   char buf[256];
   std::snprintf(buf, sizeof buf,
-                "{\"label\": \"%s\", \"runs\": %llu, \"jobs\": %u, "
+                "\"runs\": %llu, \"jobs\": %u, "
                 "\"serial_sec\": %.3f, \"parallel_sec\": %.3f, "
                 "\"serial_scenarios_per_sec\": %.1f, "
                 "\"parallel_scenarios_per_sec\": %.1f, "
-                "\"speedup\": %.2f, \"identical\": %s, \"failing\": %zu}",
-                label.c_str(), static_cast<unsigned long long>(runs),
-                pool.jobs(), serial_sec, parallel_sec,
+                "\"speedup\": %.2f, \"identical\": %s, \"failing\": %zu",
+                static_cast<unsigned long long>(runs), pool.jobs(),
+                serial_sec, parallel_sec,
                 static_cast<double>(runs) / serial_sec,
                 static_cast<double>(runs) / parallel_sec, speedup,
                 identical ? "true" : "false", a.failing_seeds.size());
-  run << buf;
-  iiot::bench::append_bench_run(out_path, "bench_runner", run.str());
-  std::printf("wrote %s (label \"%s\")\n", out_path.c_str(), label.c_str());
+  iiot::bench::record_run(out_path, "bench_runner", label, buf);
   return identical ? 0 : 1;
 }

@@ -1,23 +1,44 @@
-// Shared helpers for the experiment harnesses (bench_e1 ... bench_e12).
+// The bench harness: what every binary under bench/ shares.
 //
-// Each bench binary regenerates one experiment from DESIGN.md §3: it
-// sweeps the experiment's parameter axis, prints a table of the series
-// the paper's claim concerns, and states the claim being checked so the
-// output is self-describing. EXPERIMENTS.md records the measured shapes.
+// The experiment benches (bench_e1 ... bench_e12, bench_a1) each
+// regenerate one experiment from DESIGN.md §3: they sweep the
+// experiment's parameter axis, print a table of the series the paper's
+// claim concerns, and state the claim being checked so the output is
+// self-describing. EXPERIMENTS.md records the measured shapes.
+//
+// The gate benches (bench_perf_core, bench_backend, bench_pdes, bench_obs,
+// bench_runner) time the stack on the host and decide pass or fail. They
+// share one path: one clock (now_seconds), one command line (parse_args:
+// `[label] [output.json]` and the bench's own flags, exit 2 on anything
+// else), one recorder (record_run appends the run line to a BENCH_*.json
+// file), and one gate set judging run lines — ratio_gate and digest_gate
+// against the `--compare` baseline (compare_baseline, exit 3 when it is
+// missing) and floor_gate holding measured values to fixed floors.
+// bench_perf_core and bench_obs build their CSMA grid through CsmaGrid.
+//
+// perfbench/ includes this header too, for the flag_*, percentile,
+// default_radio and node_config helpers.
 #pragma once
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <initializer_list>
+#include <memory>
 #include <span>
 #include <string>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "core/network.hpp"
 #include "obs/context.hpp"
+#include "radio/medium.hpp"
 #include "runner/engine.hpp"
+#include "sim/scheduler.hpp"
 #include "sim/time.hpp"
 
 namespace iiot::bench {
@@ -48,6 +69,60 @@ inline bool flag_str(const std::string& arg, const char* key,
   if (arg.rfind(prefix, 0) != 0) return false;
   out = arg.substr(prefix.size());
   return true;
+}
+
+/// One flag of a gate bench: `--key=<value>` into a number or string, or
+/// the bare switch `--key` when `out` is a bool.
+struct Flag {
+  const char* key;
+  std::variant<std::uint64_t*, double*, std::string*, bool*> out;
+};
+
+/// The gate benches' command line: `[label] [output.json]` positionally
+/// (a later positional replaces the output path) plus `flags`. Returns
+/// false, after naming the argument on stderr, on an unknown `--flag` or
+/// a malformed value; the bench then exits 2.
+inline bool parse_args(int argc, const char* const* argv, std::string& label,
+                       std::string& out_path,
+                       std::initializer_list<Flag> flags) {
+  int positional = 0;
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg.rfind("--", 0) != 0) {
+      (positional++ == 0 ? label : out_path) = arg;
+      continue;
+    }
+    bool taken = false;
+    for (const Flag& f : flags) {
+      taken = std::visit(
+          [&](auto* out) {
+            using T = std::remove_pointer_t<decltype(out)>;
+            if constexpr (std::is_same_v<T, bool>) {
+              return arg == f.key && (*out = true);
+            } else if constexpr (std::is_same_v<T, double>) {
+              return flag_double(arg, f.key, *out);
+            } else if constexpr (std::is_same_v<T, std::string>) {
+              return flag_str(arg, f.key, *out);
+            } else {
+              return flag_u64(arg, f.key, *out);
+            }
+          },
+          f.out);
+      if (taken) break;
+    }
+    if (!taken) {
+      std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Wall-clock seconds on the monotonic clock every gate bench times with.
+inline double now_seconds() {
+  using clock = std::chrono::steady_clock;
+  return std::chrono::duration<double>(clock::now().time_since_epoch())
+      .count();
 }
 
 // ---- engine sharding --------------------------------------------------
@@ -98,58 +173,97 @@ inline radio::PropagationConfig default_radio() {
   return cfg;
 }
 
-/// The world's full registry snapshot as a JSON object, or "{}" when no
-/// obs::Context is installed. Embedding this in every BENCH_*.json run
-/// line localizes a perf regression to a layer: the per-module counters
-/// say *where* the extra work happened, not just that it happened.
-inline std::string metrics_snapshot_json(sim::Scheduler& sched) {
-  obs::MetricsRegistry* m = obs::metrics(sched);
-  return m != nullptr ? m->snapshot_json() : "{}";
-}
+/// Observability installed on a bench world: none, the metrics registry
+/// alone, or metrics plus causal tracing.
+enum class ObsMode { kOff, kMetrics, kTrace };
 
-/// Appends one run line to a BENCH_*.json results file. The file keeps one
-/// JSON object per line inside "runs" so appending without a JSON parser
-/// stays trivial: prior run lines are carried over verbatim.
-inline void append_bench_run(const std::string& path, const char* benchmark,
-                             const std::string& run_line) {
-  std::vector<std::string> runs;
-  {
-    std::ifstream in(path);
-    std::string line;
-    while (std::getline(in, line)) {
-      const auto pos = line.find_first_not_of(" \t");
-      if (pos != std::string::npos &&
-          line.compare(pos, 9, "{\"label\":") == 0) {
-        std::string r = line.substr(pos);
-        if (!r.empty() && r.back() == ',') r.pop_back();
-        runs.push_back(std::move(r));
+/// The CSMA+RPL grid world that bench_perf_core times at 50/200/500 nodes
+/// and bench_obs runs in every ObsMode: the DODAG forms off the clock
+/// until kFormed, then every node reports upward every 2 s, staggered,
+/// until kEnd. Each bench times `sched.run_until(kEnd)` itself.
+struct CsmaGrid {
+  static constexpr sim::Time kFormed = 20'000'000;
+  static constexpr sim::Time kEnd = 50'000'000;
+
+  CsmaGrid(std::size_t nodes, std::uint64_t seed,
+           ObsMode mode = ObsMode::kOff)
+      : ctx(observe(sched, mode)),
+        medium(sched, default_radio(), seed),
+        mesh(sched, medium, Rng(seed), node_config(core::MacKind::kCsma)) {
+    mesh.build_grid(nodes, 20.0);
+    mesh.start();
+    sched.run_until(kFormed);
+    for (std::size_t i = 1; i < mesh.size(); ++i) {
+      auto& node = mesh.node(i);
+      const sim::Duration phase =
+          static_cast<sim::Duration>(i) * 7'919 % 2'000'000;
+      for (sim::Time t = kFormed + phase; t < kEnd; t += 2'000'000) {
+        sched.schedule_at(t,
+                          [&node] { node.routing->send_up(to_buffer("r")); });
       }
     }
   }
-  runs.push_back(run_line);
+  // The scheduled reports hold references into `mesh`.
+  CsmaGrid(const CsmaGrid&) = delete;
+  CsmaGrid& operator=(const CsmaGrid&) = delete;
 
+  sim::Scheduler sched;
+  std::unique_ptr<obs::Context> ctx;  // null in ObsMode::kOff
+  radio::Medium medium;
+  core::MeshNetwork mesh;
+
+ private:
+  static std::unique_ptr<obs::Context> observe(sim::Scheduler& s,
+                                               ObsMode mode) {
+    if (mode == ObsMode::kOff) return nullptr;
+    auto c = std::make_unique<obs::Context>(s);
+    c->tracer().set_enabled(mode == ObsMode::kTrace);
+    return c;
+  }
+};
+
+/// Every run line of a BENCH_*.json results file, oldest first (none
+/// when the file is absent). The file keeps one JSON object per line
+/// inside "runs", each starting `{"label":`, so reading and appending need
+/// no JSON parser.
+inline std::vector<std::string> bench_run_lines(const std::string& path) {
+  std::vector<std::string> runs;
+  std::ifstream in(path);
+  std::string line;
+  while (std::getline(in, line)) {
+    const auto pos = line.find_first_not_of(" \t");
+    if (pos != std::string::npos && line.compare(pos, 9, "{\"label\":") == 0) {
+      std::string r = line.substr(pos);
+      if (!r.empty() && r.back() == ',') r.pop_back();
+      runs.push_back(std::move(r));
+    }
+  }
+  return runs;
+}
+
+/// Newest run line of a BENCH_*.json results file ("" when absent) — the
+/// line `--compare` baselines are read from.
+inline std::string last_bench_run_line(const std::string& path) {
+  std::vector<std::string> runs = bench_run_lines(path);
+  return runs.empty() ? std::string() : std::move(runs.back());
+}
+
+/// Appends the run line `{"label": "<label>", <fields>}` to a
+/// BENCH_*.json results file, carrying the prior run lines over
+/// verbatim, says so on stdout, and returns the line for the gates.
+inline std::string record_run(const std::string& path, const char* benchmark,
+                              const std::string& label,
+                              const std::string& fields) {
+  std::vector<std::string> runs = bench_run_lines(path);
+  runs.push_back("{\"label\": \"" + label + "\", " + fields + "}");
   std::ofstream out(path, std::ios::trunc);
   out << "{\n  \"benchmark\": \"" << benchmark << "\",\n  \"runs\": [\n";
   for (std::size_t i = 0; i < runs.size(); ++i) {
     out << "    " << runs[i] << (i + 1 < runs.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";
-}
-
-/// Newest run line of a BENCH_*.json results file ("" when absent) — the
-/// line `--compare` baselines are read from.
-inline std::string last_bench_run_line(const std::string& path) {
-  std::ifstream in(path);
-  std::string line;
-  std::string last;
-  while (std::getline(in, line)) {
-    const auto pos = line.find_first_not_of(" \t");
-    if (pos != std::string::npos && line.compare(pos, 9, "{\"label\":") == 0) {
-      last = line.substr(pos);
-      if (!last.empty() && last.back() == ',') last.pop_back();
-    }
-  }
-  return last;
+  std::printf("\nwrote %s (label \"%s\")\n", path.c_str(), label.c_str());
+  return runs.back();
 }
 
 /// Extracts the numeric value of `"key": <number>` from a run line.
@@ -237,6 +351,28 @@ inline bool ratio_gate(const std::string& base_line,
     if (ratio < min_ratio) ok = false;
   }
   std::printf("perf gate: %s\n", ok ? "OK" : "FAILED");
+  return ok;
+}
+
+/// An acceptance floor: the measured `value` of `key` must reach `min`.
+struct Floor {
+  const char* key;
+  double value;
+  double min;
+};
+
+/// Acceptance gate: each floor's measured value must reach its minimum,
+/// whatever a baseline says. It judges the unrounded figure, not the one
+/// printed into the run line.
+inline bool floor_gate(std::span<const Floor> floors) {
+  bool ok = true;
+  std::printf("\nacceptance floors:\n");
+  for (const Floor& f : floors) {
+    std::printf("  %-26s %14.4f vs %14.4f floor%s\n", f.key, f.value, f.min,
+                f.value < f.min ? "  BELOW FLOOR" : "");
+    if (f.value < f.min) ok = false;
+  }
+  std::printf("floor gate: %s\n", ok ? "OK" : "FAILED");
   return ok;
 }
 

@@ -91,36 +91,41 @@ FuzzBatchResult run_fuzz_batch(const FuzzBatchOptions& opt,
   return out;
 }
 
+std::string diff_batches(const FuzzBatchOptions& opt,
+                         const FuzzBatchResult& serial,
+                         const FuzzBatchResult& parallel, unsigned jobs) {
+  if (serial.failing_seeds != parallel.failing_seeds) {
+    return "failing-seed lists diverge: serial has " +
+           std::to_string(serial.failing_seeds.size()) + ", jobs=" +
+           std::to_string(jobs) + " has " +
+           std::to_string(parallel.failing_seeds.size());
+  }
+  if (serial.fingerprints.size() != parallel.fingerprints.size()) {
+    return "fingerprint counts diverge: " +
+           std::to_string(serial.fingerprints.size()) + " vs " +
+           std::to_string(parallel.fingerprints.size());
+  }
+  for (std::size_t i = 0; i < serial.fingerprints.size(); ++i) {
+    if (!(serial.fingerprints[i] == parallel.fingerprints[i])) {
+      return "fingerprint diverges at seed " +
+             std::to_string(opt.seed_base + i) +
+             "\n  serial:   " + serial.fingerprints[i].to_string() +
+             "\n  parallel: " + parallel.fingerprints[i].to_string();
+    }
+  }
+  if (serial.report != parallel.report) {
+    return "failure report text diverges\n--- serial ---\n" + serial.report +
+           "--- jobs=" + std::to_string(jobs) + " ---\n" + parallel.report;
+  }
+  return {};
+}
+
 std::string check_batch_determinism(const FuzzBatchOptions& opt,
                                     runner::Engine& eng) {
   runner::Engine serial(1);
   const FuzzBatchResult a = run_fuzz_batch(opt, serial);
   const FuzzBatchResult b = run_fuzz_batch(opt, eng);
-
-  if (a.failing_seeds != b.failing_seeds) {
-    return "failing-seed lists diverge: serial has " +
-           std::to_string(a.failing_seeds.size()) + ", jobs=" +
-           std::to_string(eng.jobs()) + " has " +
-           std::to_string(b.failing_seeds.size());
-  }
-  if (a.fingerprints.size() != b.fingerprints.size()) {
-    return "fingerprint counts diverge: " +
-           std::to_string(a.fingerprints.size()) + " vs " +
-           std::to_string(b.fingerprints.size());
-  }
-  for (std::size_t i = 0; i < a.fingerprints.size(); ++i) {
-    if (!(a.fingerprints[i] == b.fingerprints[i])) {
-      return "fingerprint diverges at seed " +
-             std::to_string(opt.seed_base + i) +
-             "\n  serial:   " + a.fingerprints[i].to_string() +
-             "\n  parallel: " + b.fingerprints[i].to_string();
-    }
-  }
-  if (a.report != b.report) {
-    return "failure report text diverges\n--- serial ---\n" + a.report +
-           "--- jobs=" + std::to_string(eng.jobs()) + " ---\n" + b.report;
-  }
-  return {};
+  return diff_batches(opt, a, b, eng.jobs());
 }
 
 }  // namespace iiot::testing

@@ -61,10 +61,17 @@ struct FuzzBatchResult {
 [[nodiscard]] FuzzBatchResult run_fuzz_batch(const FuzzBatchOptions& opt,
                                              runner::Engine& eng);
 
+/// Diffs every jobs-invariant artifact of two runs of the batch `opt`:
+/// failing seeds, per-seed fingerprints, report text. `serial` ran at
+/// jobs=1 and `parallel` at `jobs`. Returns "" when byte-identical, else a
+/// description of the first divergence.
+[[nodiscard]] std::string diff_batches(const FuzzBatchOptions& opt,
+                                       const FuzzBatchResult& serial,
+                                       const FuzzBatchResult& parallel,
+                                       unsigned jobs);
+
 /// In-process determinism self-check: runs the batch serially (jobs=1)
-/// and again on `eng`, then diffs every jobs-invariant artifact
-/// (failing seeds, per-seed fingerprints, report text). Returns "" when
-/// byte-identical, else a description of the first divergence.
+/// and again on `eng`, then diffs the two with diff_batches.
 [[nodiscard]] std::string check_batch_determinism(const FuzzBatchOptions& opt,
                                                   runner::Engine& eng);
 
