@@ -21,12 +21,14 @@
 //
 // --check            exit nonzero if metrics-mode overhead exceeds 3%
 // --baseline=<file>  also compare mode "off" against the newest
-//                    net50_events_per_sec recorded in that file (3%
-//                    shortfall budget; meaningful on the machine that
-//                    recorded the baseline)
+//                    net50_events_per_sec recorded in that file, a
+//                    bench_perf_core results file (3% shortfall budget;
+//                    meaningful on the machine that recorded the baseline)
 //
 // Exit codes: 0 pass, 1 a gate failed, 2 bad arguments (an unknown
-// --flag). A --baseline file with no net50 figure is noted, not fatal.
+// --flag), 3 the --baseline file is missing, holds no run line or has no
+// net50_events_per_sec in its newest one (a configuration error, found
+// before anything runs, so it is never mistaken for a pass).
 #include <cstdio>
 #include <string>
 
@@ -92,8 +94,17 @@ int main(int argc, char** argv) {
 
   double base = 0;  // the baseline's newest net50_events_per_sec, if any
   if (!baseline_path.empty()) {
-    bench::bench_field(bench::last_bench_run_line(baseline_path),
-                       "net50_events_per_sec", base);
+    const std::string line =
+        bench::compare_baseline(baseline_path, "bench_perf_core");
+    if (line.empty()) return 3;
+    if (!bench::bench_field(line, "net50_events_per_sec", base) ||
+        base <= 0) {
+      std::fprintf(stderr,
+                   "configuration error: the newest run line of %s has no "
+                   "positive net50_events_per_sec\n",
+                   baseline_path.c_str());
+      return 3;
+    }
   }
 
   constexpr int kReps = 3;
@@ -159,18 +170,13 @@ int main(int argc, char** argv) {
                     std::string(buf) + ", \"metrics\": " + best[1].metrics_json);
 
   bool failed = perturbed;
-  if (!baseline_path.empty()) {
-    if (base > 0) {
-      const double delta_pct = (off / base - 1.0) * 100.0;
-      std::printf("vs %s net50 baseline %.0f: %+.2f%%\n",
-                  baseline_path.c_str(), base, delta_pct);
-      if (check && delta_pct < -3.0) {
-        std::printf("FAIL: obs-off fast path regressed >3%% vs baseline\n");
-        failed = true;
-      }
-    } else {
-      std::printf("note: no net50_events_per_sec found in %s\n",
-                  baseline_path.c_str());
+  if (base > 0) {
+    const double delta_pct = (off / base - 1.0) * 100.0;
+    std::printf("vs %s net50 baseline %.0f: %+.2f%%\n",
+                baseline_path.c_str(), base, delta_pct);
+    if (check && delta_pct < -3.0) {
+      std::printf("FAIL: obs-off fast path regressed >3%% vs baseline\n");
+      failed = true;
     }
   }
   if (check && metrics_pct > 3.0) {

@@ -245,6 +245,14 @@ int main(int argc, char** argv) {
     scaling4[s] = best[s][0].wall / best[s][2].wall;  // lane_configs[2]==4
     std::printf("  x%.2f\n", scaling4[s]);
   }
+  // The fixed part of the heap per node (DESIGN.md §4j census).
+  std::printf("per-node objects (sizeof, B): MeshNode %zu, Radio %zu, "
+              "energy::Meter %zu, CsmaMac %zu, RplRouting %zu, Trickle %zu, "
+              "RPL neighbour entry %zu\n",
+              sizeof(core::MeshNode), sizeof(radio::Radio),
+              sizeof(energy::Meter), sizeof(mac::CsmaMac),
+              sizeof(net::RplRouting), sizeof(net::Trickle),
+              sizeof(net::RplRouting::Neighbor));
 
   std::printf("\nengine counters (fastest rep):\n%-6s %5s %10s %12s %10s "
               "%10s\n",

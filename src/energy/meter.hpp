@@ -10,6 +10,7 @@
 #include <array>
 #include <cstdint>
 
+#include "common/interned.hpp"
 #include "sim/time.hpp"
 
 namespace iiot::energy {
@@ -31,12 +32,15 @@ struct Profile {
       52.2,   // tx at 0 dBm (17.4 mA * 3 V)
   };
   double cpu_nj_per_cycle = 0.5;  // ~0.5 nJ/cycle active
+
+  bool operator==(const Profile&) const = default;
 };
 
 /// Integrates power over simulated time.
 class Meter {
  public:
-  explicit Meter(Profile profile = {}) : profile_(profile) {}
+  explicit Meter(const Profile& profile = {})
+      : profile_(&interned(profile)) {}
 
   /// Records that the radio has been in `state` since the last call time.
   /// Callers (the Radio) invoke this on every state change.
@@ -47,7 +51,7 @@ class Meter {
 
   /// Charges an active CPU burst of the given cycle count.
   void cpu_cycles(std::uint64_t cycles) {
-    cpu_mj_ += static_cast<double>(cycles) * profile_.cpu_nj_per_cycle * 1e-6;
+    cpu_mj_ += static_cast<double>(cycles) * profile_->cpu_nj_per_cycle * 1e-6;
   }
 
   /// Flushes accumulated time up to `now` (call before reading totals).
@@ -55,7 +59,7 @@ class Meter {
     if (now > last_) {
       double sec = sim::to_seconds(now - last_);
       auto idx = static_cast<std::size_t>(state_);
-      radio_mj_[idx] += profile_.radio_mw[idx] * sec;
+      radio_mj_[idx] += profile_->radio_mw[idx] * sec;
       per_state_s_[idx] += sec;
       last_ = now;
     }
@@ -106,7 +110,8 @@ class Meter {
   }
 
  private:
-  Profile profile_;
+  /// Nodes share their profile: an interned copy.
+  const Profile* profile_;
   RadioState state_ = RadioState::kOff;
   sim::Time last_ = 0;
   std::array<double, kNumRadioStates> radio_mj_{};

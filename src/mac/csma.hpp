@@ -6,6 +6,7 @@
 // embedded S&A devices cannot afford (§II-B).
 #pragma once
 
+#include "common/interned.hpp"
 #include "mac/mac.hpp"
 
 namespace iiot::mac {
@@ -17,13 +18,15 @@ struct CsmaConfig {
   int min_be = 3;               // initial backoff exponent
   int max_be = 6;
   sim::Duration ack_timeout = 1200;   // turnaround + ack airtime + slack
+
+  bool operator==(const CsmaConfig&) const = default;
 };
 
 class CsmaMac : public MacBase {
  public:
   CsmaMac(radio::Radio& radio, sim::Scheduler& sched, Rng rng,
           TenantId tenant, CsmaConfig cfg = {})
-      : MacBase(radio, sched, rng, tenant), cfg_(cfg) {}
+      : MacBase(radio, sched, rng, tenant), cfg_(interned(cfg)) {}
 
   using MacBase::send;
 
@@ -39,7 +42,7 @@ class CsmaMac : public MacBase {
   void on_frame(const radio::Frame& f, double rssi);
   void finish(bool delivered);
 
-  CsmaConfig cfg_;
+  const CsmaConfig& cfg_;  // interned: one copy per configuration
   bool busy_ = false;           // a send() is in flight
   std::uint16_t awaiting_seq_ = 0;
   bool awaiting_ack_ = false;
