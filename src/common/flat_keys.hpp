@@ -7,9 +7,12 @@
 // arrives (DESIGN.md §4j, per-node memory budget).
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <new>
+#include <utility>
 #include <vector>
 
 namespace iiot {
@@ -136,35 +139,76 @@ class LastSeqTable {
   FlatKeyTable<16> table_;
 };
 
-/// The last `capacity` distinct keys in arrival order: a ring of at most
-/// `capacity` (> 0) keys plus a set of them, both grown only as keys
-/// arrive.
+/// The last `capacity` (> 0) distinct keys in arrival order: a ring of
+/// keys plus a set of them. An empty window is its capacity and a null
+/// pointer; the first key allocates one block holding the set, the ring's
+/// cursors and, behind them, the ring slots. The block is replaced as the
+/// ring grows (1, 2, 4, ... slots, at most `capacity`), so the window
+/// allocates exactly as often as a vector-backed ring would.
 class KeyWindow {
  public:
   explicit KeyWindow(std::size_t capacity) : capacity_(capacity) {}
+  KeyWindow(const KeyWindow&) = delete;
+  KeyWindow& operator=(const KeyWindow&) = delete;
+  ~KeyWindow() { release(block_); }
 
   /// True when `key` is in the window. Otherwise records it, evicting the
   /// oldest key first once the window is full, and returns false.
   bool seen_or_insert(std::uint64_t key) {
-    if (set_.find(key) != nullptr) return true;
-    if (ring_.size() < capacity_) {
-      ring_.push_back(key);
+    if (block_ != nullptr && block_->set.find(key) != nullptr) return true;
+    if (size() < capacity_) {
+      if (block_ == nullptr || block_->size == block_->slots) grow();
+      block_->ring()[block_->size++] = key;
     } else {
-      set_.erase(ring_[oldest_]);
-      ring_[oldest_] = key;
-      oldest_ = oldest_ + 1 == capacity_ ? 0 : oldest_ + 1;
+      std::uint64_t& slot = block_->ring()[block_->oldest];
+      block_->set.erase(slot);
+      slot = key;
+      block_->oldest = block_->oldest + 1 == capacity_ ? 0 : block_->oldest + 1;
     }
-    set_.insert(key);
+    block_->set.insert(key);
     return false;
   }
 
-  [[nodiscard]] std::size_t size() const { return ring_.size(); }
+  [[nodiscard]] std::size_t size() const {
+    return block_ == nullptr ? 0 : block_->size;
+  }
 
  private:
+  struct Block {
+    FlatKeyTable<0> set;
+    std::size_t size = 0;    // keys in the ring
+    std::size_t slots = 0;   // ring slots that follow this header
+    std::size_t oldest = 0;  // ring slot of the oldest key once full
+    std::uint64_t* ring() {
+      return reinterpret_cast<std::uint64_t*>(this + 1);
+    }
+  };
+  static_assert(sizeof(Block) % alignof(std::uint64_t) == 0);
+
+  /// Moves the window into a block with twice the ring slots (one at
+  /// first), capped at capacity_.
+  void grow() {
+    const std::size_t slots =
+        block_ == nullptr ? 1 : std::min(2 * block_->slots, capacity_);
+    Block* b = ::new (::operator new(sizeof(Block) +
+                                     slots * sizeof(std::uint64_t))) Block;
+    b->slots = slots;
+    if (block_ != nullptr) {
+      b->set = std::move(block_->set);
+      b->size = block_->size;
+      std::copy_n(block_->ring(), block_->size, b->ring());
+      release(block_);
+    }
+    block_ = b;
+  }
+  static void release(Block* b) {
+    if (b == nullptr) return;
+    b->~Block();
+    ::operator delete(b);
+  }
+
   std::size_t capacity_;
-  std::size_t oldest_ = 0;  // ring slot of the oldest key once full
-  std::vector<std::uint64_t> ring_;
-  FlatKeyTable<0> set_;
+  Block* block_ = nullptr;
 };
 
 }  // namespace iiot
